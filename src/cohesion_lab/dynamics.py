@@ -9,7 +9,7 @@ import numpy as np
 from . import eigen
 from .errors import ConvergenceError, DomainError, ValidationError
 from .graphs import Graph, is_connected
-from .spectra import LaplacianKind, adjacency_matrix, symmetrize, _symmetric_operator
+from .spectra import LaplacianKind, _adjacency_degrees, _symmetric_operator
 
 
 @dataclass(frozen=True)
@@ -64,17 +64,27 @@ def _position_vector(y0, n: int) -> np.ndarray:
     return y
 
 
-def _degree_scaling(g: Graph, kind: LaplacianKind, weighted=True, direction_policy="intersection"):
-    """For the row-normalized operator: exp(-Lrw t) = D^(-1/2) exp(-Lnor t) D^(1/2)."""
-    if kind is not LaplacianKind.ROW_NORMALIZED:
-        return None
-    a = adjacency_matrix(g, weighted=weighted)
-    if g.directed:
-        a = symmetrize(a, direction_policy)
-    deg = a.sum(axis=1)
-    if np.any(deg <= 0):
-        raise DomainError("row-normalized dynamics require degree >= 1 everywhere")
-    return np.sqrt(deg)
+def _spectral_solution(g: Graph, kind: LaplacianKind, y: np.ndarray, weighted=True,
+                       direction_policy="intersection"):
+    """Expand y in the eigenbasis once: returns (b, states_at).
+
+    states_at(times) gives y_t = sum_k b_k exp(-lambda_k t) v_k as rows. The
+    row-normalized operator goes through its symmetric similarity,
+    exp(-Lrw t) = D^(-1/2) exp(-Lnor t) D^(1/2); other kinds use unit scaling.
+    """
+    m = _symmetric_operator(g, kind, weighted=weighted, direction_policy=direction_policy)
+    w, v = eigen.eigh(m)
+    if kind is LaplacianKind.ROW_NORMALIZED:
+        scale = np.sqrt(_adjacency_degrees(g, kind, weighted, direction_policy)[1])
+    else:
+        scale = np.ones(g.n)
+    b = v.T @ (y * scale)
+
+    def states_at(times: np.ndarray) -> np.ndarray:
+        decay = np.exp(-np.outer(times, w))  # (T, n)
+        return (decay * b[None, :] @ v.T) / scale[None, :]
+
+    return b, states_at
 
 
 def diffuse_spectral(
@@ -98,18 +108,10 @@ def diffuse_spectral(
     if np.any(times < 0):
         raise DomainError("times must be non-negative")
     y = _position_vector(y0, g.n)
-    m = _symmetric_operator(g, kind, weighted=weighted, direction_policy=direction_policy)
-    scale = _degree_scaling(g, kind, weighted, direction_policy)
-    w, v = eigen.eigh(m)
-    y_in = y * scale if scale is not None else y
-    b = v.T @ y_in
-    decay = np.exp(-np.outer(times, w))  # (T, n)
-    states = decay * b[None, :] @ v.T
-    if scale is not None:
-        states = states / scale[None, :]
+    b, states_at = _spectral_solution(g, kind, y, weighted, direction_policy)
     return Trajectory(
         times=times,
-        states=states,
+        states=states_at(times),
         method="spectral",
         kind=kind,
         coefficients=b,
@@ -174,7 +176,9 @@ def convergence_time(
     epsilon: float,
     tol: float = 1e-6,
 ) -> float:
-    """Smallest t with spread(y_t) < epsilon, by bisection on the spectral solution."""
+    """Smallest t with spread(y_t) < epsilon, by bisection on the spectral
+    solution; the graph is decomposed once."""
+    kind = kind if isinstance(kind, LaplacianKind) else LaplacianKind.parse(kind)
     if not is_connected(g):
         raise DomainError("convergence_time requires a connected graph")
     y = _position_vector(y0, g.n)
@@ -183,8 +187,10 @@ def convergence_time(
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
 
+    _b, states_at = _spectral_solution(g, kind, y)
+
     def spread_at(t: float) -> float:
-        return float(diffuse_spectral(g, kind, y, np.array([t])).spread[0])
+        return spread_of(states_at(np.array([t]))[0])
 
     hi = 1.0
     for _ in range(80):

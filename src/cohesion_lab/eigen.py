@@ -1,9 +1,9 @@
-"""Dense symmetric eigensolver: Householder tridiagonalization + implicit-shift QL.
+"""Dense symmetric eigensolver: numpy's LAPACK behind the package's contract.
 
-Deterministic and dependency-free (numpy arrays as storage only); accurate to
-machine precision for the dense n <= ~2000 problems this package produces.
-Eigenvectors come out orthonormal by construction because only orthogonal
-transforms are applied.
+Both functions accept only finite, square, symmetric matrices of order at
+most MAX_DENSE_N (non-symmetric operators are routed through their symmetric
+similarity first), return eigenvalues in ascending order, and turn a LAPACK
+failure into ConvergenceError.
 """
 
 import numpy as np
@@ -11,145 +11,40 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 
 SYMMETRY_TOL = 1e-10
-_QL_MAX_SWEEPS = 60
+MAX_DENSE_N = 2048
 
 
-def tridiagonalize(a: np.ndarray, accumulate: bool = True):
-    """Reduce symmetric `a` to tridiagonal T = Q^T A Q via Householder reflections.
-
-    Returns (d, e, q): diagonal, subdiagonal (length n-1), and Q (or None when
-    accumulate=False).
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    q = np.eye(n) if accumulate else None
-    for k in range(n - 2):
-        x = a[k + 1:, k]
-        alpha = float(np.linalg.norm(x))
-        if alpha == 0.0:
-            continue
-        if x[0] > 0:
-            alpha = -alpha
-        v = x.copy()
-        v[0] -= alpha
-        vnorm = float(np.linalg.norm(v))
-        if vnorm == 0.0:
-            continue
-        v /= vnorm
-        sub = a[k + 1:, k + 1:]
-        w = sub @ v
-        w -= (v @ w) * v
-        sub -= 2.0 * np.outer(v, w)
-        sub -= 2.0 * np.outer(w, v)
-        a[k + 1:, k] = 0.0
-        a[k, k + 1:] = 0.0
-        a[k + 1, k] = alpha
-        a[k, k + 1] = alpha
-        if accumulate:
-            qsub = q[:, k + 1:]
-            qsub -= 2.0 * np.outer(qsub @ v, v)
-    d = np.diag(a).copy()
-    e = np.diag(a, 1).copy() if n > 1 else np.zeros(0)
-    return d, e, q
-
-
-def ql_implicit(d: np.ndarray, e: np.ndarray, z: np.ndarray = None) -> np.ndarray:
-    """Implicit-shift QL sweeps on a tridiagonal matrix; rotations hit z's columns."""
-    d = d.astype(float).copy()
-    n = d.size
-    ee = np.zeros(n)
-    ee[: n - 1] = e
-    eps = np.finfo(float).eps
-    for l in range(n):
-        for sweep in range(_QL_MAX_SWEEPS + 1):
-            m = l
-            while m < n - 1:
-                if abs(ee[m]) <= eps * (abs(d[m]) + abs(d[m + 1])):
-                    break
-                m += 1
-            if m == l:
-                break
-            if sweep == _QL_MAX_SWEEPS:
-                raise ConvergenceError(f"QL iteration stalled at index {l}")
-            g = (d[l + 1] - d[l]) / (2.0 * ee[l])
-            r = float(np.hypot(g, 1.0))
-            g = d[m] - d[l] + ee[l] / (g + (r if g >= 0 else -r))
-            s = c = 1.0
-            p = 0.0
-            broke = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * ee[i]
-                b = c * ee[i]
-                r = float(np.hypot(f, g))
-                ee[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    ee[m] = 0.0
-                    broke = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                if z is not None:
-                    col = z[:, i + 1].copy()
-                    z[:, i + 1] = s * z[:, i] + c * col
-                    z[:, i] = c * z[:, i] - s * col
-            if not broke:
-                d[l] -= p
-                ee[l] = g
-                ee[m] = 0.0
-    return d
-
-
-def _check_symmetry(a: np.ndarray):
+def _lapack(solver, a: np.ndarray):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()) if a.size else 1.0)
-    resid = float(np.abs(a - a.T).max()) if a.size else 0.0
+    if a.shape[0] > MAX_DENSE_N:
+        raise DomainError(f"dense eigensolver capped at n = {MAX_DENSE_N}, got {a.shape[0]}")
+    if not np.isfinite(a).all():
+        raise DomainError("matrix has non-finite entries")
+    scale = float(np.abs(a).max(initial=1.0))
+    resid = float(np.abs(a - a.T).max(initial=0.0))
     if resid > SYMMETRY_TOL * scale:
         raise DomainError(
             f"matrix is not symmetric (residual {resid:.2e}); "
             "route non-symmetric operators through their symmetric similarity"
         )
-    return a
+    try:
+        return solver(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK {solver.__name__} failed: {exc}") from None
 
 
 def eigh(a: np.ndarray):
-    """Full eigendecomposition of a symmetric matrix, eigenvalues ascending.
-
-    Returns (w, V) with orthonormal columns V[:, k] and a deterministic sign
-    convention: the largest-magnitude entry of each eigenvector is positive.
-    """
-    a = _check_symmetry(a)
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    if n == 1:
-        return a[0].copy(), np.ones((1, 1))
-    d, e, q = tridiagonalize(a, accumulate=True)
-    w = ql_implicit(d, e, q)
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = q[:, order]
-    for k in range(n):
-        pivot = int(np.argmax(np.abs(v[:, k])))
-        if v[pivot, k] < 0:
-            v[:, k] = -v[:, k]
+    """(w, V): ascending eigenvalues and orthonormal eigenvector columns, with
+    deterministic signs: the largest-magnitude entry of each column is positive."""
+    w, v = _lapack(np.linalg.eigh, a)
+    if v.size:
+        pivots = v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])]
+        v = v * np.where(pivots < 0, -1.0, 1.0)
     return w, v
 
 
 def eigvalsh(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues only (ascending); skips eigenvector accumulation."""
-    a = _check_symmetry(a)
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    if n == 1:
-        return a[0].copy()
-    d, e, _ = tridiagonalize(a, accumulate=False)
-    return np.sort(ql_implicit(d, e))
+    """Eigenvalues only, ascending."""
+    return _lapack(np.linalg.eigvalsh, a)

@@ -179,11 +179,17 @@ def _group_of(groups):
     return gmap
 
 
+#: landing draws per candidate slot (n endpoints, or n*n ordered pairs); when a
+#: free landing exists, the budget runs out with probability below exp(-64)
+_LANDING_DRAWS = 64
+
+
 def rewire(g: Graph, cfg: RewireConfig, seed: int, groups=None) -> Graph:
     """Randomly relay ties; the result keeps the edge count bit-exactly.
 
     Constraint violations (disconnection) reject the whole attempt and
-    resample, up to cfg.max_retries.
+    resample, up to cfg.max_retries. A tie with nowhere to land raises
+    ResourceBudgetError.
     """
     if not is_connected(g):
         raise DomainError("rewire expects a connected input graph")
@@ -194,7 +200,6 @@ def rewire(g: Graph, cfg: RewireConfig, seed: int, groups=None) -> Graph:
         eligible = list(all_edges)
     else:
         eligible = [(u, v) for u, v in all_edges if gmap[u] == gmap[v]]
-    kept = [e for e in all_edges if e not in set(eligible)]
 
     for _attempt in range(cfg.max_retries):
         edges = set(all_edges)
@@ -208,7 +213,7 @@ def rewire(g: Graph, cfg: RewireConfig, seed: int, groups=None) -> Graph:
                         continue
                     anchor = cur[1 - side]
                     edges.discard((min(cur), max(cur)))
-                    while True:
+                    for _draw in range(_LANDING_DRAWS * g.n):
                         w = int(rng.integers(g.n))
                         if w == anchor:
                             continue
@@ -218,6 +223,8 @@ def rewire(g: Graph, cfg: RewireConfig, seed: int, groups=None) -> Graph:
                         if cand in edges:
                             continue
                         break
+                    else:
+                        raise ResourceBudgetError(f"rewire found no landing node for anchor {anchor}")
                     edges.add(cand)
                     cur = (anchor, w) if side == 1 else (w, anchor)
         else:
@@ -225,7 +232,7 @@ def rewire(g: Graph, cfg: RewireConfig, seed: int, groups=None) -> Graph:
                 if rng.random() >= cfg.p:
                     continue
                 edges.discard(e)
-                while True:
+                for _draw in range(_LANDING_DRAWS * g.n * g.n):
                     a = int(rng.integers(g.n))
                     b = int(rng.integers(g.n))
                     if a == b:
@@ -236,6 +243,8 @@ def rewire(g: Graph, cfg: RewireConfig, seed: int, groups=None) -> Graph:
                     if cand in edges:
                         continue
                     break
+                else:
+                    raise ResourceBudgetError("rewire found no free pair to land a tie on")
                 edges.add(cand)
         out = Graph.from_edges(g.n, sorted(edges))
         assert out.m == g.m, "rewiring must preserve the edge count"

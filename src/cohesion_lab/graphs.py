@@ -5,6 +5,7 @@ Laplacian builders; every distance/connectivity/cycle metric below works on
 the unweighted hop structure.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -44,6 +45,8 @@ class Graph:
                 raise ValidationError(f"self-loop at node {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValidationError(f"edge ({u},{v}) outside 0..{n - 1}")
+            if not math.isfinite(w):
+                raise ValidationError(f"edge ({u},{v}) has non-finite weight {w}")
             if w <= 0.0:
                 raise ValidationError(f"edge ({u},{v}) has non-positive weight {w}")
             key = (u, v) if directed else (min(u, v), max(u, v))

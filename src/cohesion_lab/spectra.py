@@ -20,9 +20,8 @@ import numpy as np
 
 from . import eigen
 from .errors import DomainError
-from .graphs import Graph, connected_components, distance_summary, is_connected, vertex_connectivity
+from .graphs import Graph, distance_summary, is_connected, vertex_connectivity
 
-MAX_DENSE_N = 2048
 ZERO_EIGENVALUE_RTOL = 1e-8
 
 
@@ -86,6 +85,25 @@ def symmetrize(a: np.ndarray, policy: str = "intersection") -> np.ndarray:
     raise DomainError(f"unknown direction policy {policy!r}")
 
 
+def _adjacency_degrees(g: Graph, kind: LaplacianKind, weighted=True, direction_policy="intersection"):
+    """Adjacency (directed inputs symmetrized) and degrees; normalized kinds need degree >= 1."""
+    a = adjacency_matrix(g, weighted=weighted)
+    if g.directed:
+        a = symmetrize(a, direction_policy)
+    deg = a.sum(axis=1)
+    if kind is not LaplacianKind.BINARY and np.any(deg <= 0):
+        isolated = int(np.argmax(deg <= 0))
+        raise DomainError(
+            f"{kind.value} laplacian requires degree >= 1 everywhere; node {isolated} is isolated"
+        )
+    return a, deg
+
+
+def _sym_normalized(a: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    return np.eye(deg.size) - (a * inv_sqrt[:, None]) * inv_sqrt[None, :]
+
+
 def laplacian(
     g: Graph,
     kind: LaplacianKind = LaplacianKind.BINARY,
@@ -94,35 +112,23 @@ def laplacian(
 ) -> np.ndarray:
     """Build the requested Laplacian; directed inputs are symmetrized first."""
     kind = kind if isinstance(kind, LaplacianKind) else LaplacianKind.parse(kind)
-    a = adjacency_matrix(g, weighted=weighted)
-    if g.directed:
-        a = symmetrize(a, direction_policy)
-    deg = a.sum(axis=1)
+    a, deg = _adjacency_degrees(g, kind, weighted, direction_policy)
     if kind is LaplacianKind.BINARY:
         return np.diag(deg) - a
-    if np.any(deg <= 0):
-        isolated = int(np.argmax(deg <= 0))
-        raise DomainError(
-            f"{kind.value} laplacian requires degree >= 1 everywhere; node {isolated} is isolated"
-        )
     if kind is LaplacianKind.ROW_NORMALIZED:
         return np.eye(g.n) - a / deg[:, None]
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    return np.eye(g.n) - (a * inv_sqrt[:, None]) * inv_sqrt[None, :]
+    return _sym_normalized(a, deg)
 
 
 def _symmetric_operator(g: Graph, kind: LaplacianKind, weighted=True, direction_policy="intersection"):
     """The symmetric matrix whose spectrum equals laplacian(g, kind)'s."""
     if kind is LaplacianKind.ROW_NORMALIZED:
-        return laplacian(g, LaplacianKind.SYM_NORMALIZED, weighted, direction_policy)
+        return _sym_normalized(*_adjacency_degrees(g, kind, weighted, direction_policy))
     return laplacian(g, kind, weighted, direction_policy)
 
 
 def eigen_sym(m: np.ndarray, kind: LaplacianKind = None) -> Spectrum:
     """Full eigendecomposition of a symmetric matrix (ascending order)."""
-    m = np.asarray(m, dtype=float)
-    if m.shape[0] > MAX_DENSE_N:
-        raise DomainError(f"dense eigensolver capped at n = {MAX_DENSE_N}, got {m.shape[0]}")
     w, v = eigen.eigh(m)
     return Spectrum(eigenvalues=w, eigenvectors=v, kind=kind)
 
@@ -136,10 +142,7 @@ def spectrum(g: Graph, kind: LaplacianKind = LaplacianKind.BINARY, **kw) -> Spec
 def algebraic_connectivity(g: Graph, kind: LaplacianKind = LaplacianKind.BINARY, **kw) -> float:
     """Second-smallest Laplacian eigenvalue; 0 for disconnected graphs."""
     kind = kind if isinstance(kind, LaplacianKind) else LaplacianKind.parse(kind)
-    m = _symmetric_operator(g, kind, **kw)
-    if m.shape[0] > MAX_DENSE_N:
-        raise DomainError(f"dense eigensolver capped at n = {MAX_DENSE_N}, got {m.shape[0]}")
-    w = eigen.eigvalsh(m)
+    w = eigen.eigvalsh(_symmetric_operator(g, kind, **kw))
     lam2 = float(w[1])
     return 0.0 if abs(lam2) < ZERO_EIGENVALUE_RTOL * max(float(w[-1]), 1.0) else lam2
 
@@ -155,10 +158,7 @@ def fiedler_pair(g: Graph, kind: LaplacianKind = LaplacianKind.BINARY, **kw):
     spec = spectrum(g, kind, **kw)
     vec = spec.eigenvectors[:, 1].copy()
     if kind is LaplacianKind.ROW_NORMALIZED:
-        a = adjacency_matrix(g, weighted=kw.get("weighted", True))
-        if g.directed:
-            a = symmetrize(a, kw.get("direction_policy", "intersection"))
-        deg = a.sum(axis=1)
+        _a, deg = _adjacency_degrees(g, kind, **kw)
         vec = vec / np.sqrt(deg)
     return spec.lambda2, vec
 
@@ -278,15 +278,6 @@ def tradeoff_metrics(g: Graph, kind: LaplacianKind, t: float, **kw) -> TradeoffM
         eta=float(eta),
         rho_eigenvalues=tuple(float(x) for x in p),
     )
-
-
-def component_count_spectral(g: Graph) -> int:
-    """Component count as the zero-eigenvalue multiplicity of the binary Laplacian."""
-    return spectrum(g, LaplacianKind.BINARY, weighted=False).zero_multiplicity()
-
-
-def components_match_spectrum(g: Graph) -> bool:
-    return connected_components(g)[0] == component_count_spectral(g)
 
 
 # ---------------------------------------------------------------------------

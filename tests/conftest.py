@@ -1,6 +1,7 @@
 """Shared independent oracles: these deliberately avoid the package's own
 algorithms (Floyd-Warshall vs BFS, subset/matrix-based cuts vs node-splitting
-flow, permutation enumeration vs DFS) so each check has two routes.
+flow, permutation enumeration vs DFS, Householder + implicit-shift QL vs
+LAPACK) so each check has two routes.
 """
 
 from itertools import combinations, permutations
@@ -8,6 +9,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
+from cohesion_lab.errors import ConvergenceError
 from cohesion_lab.graphs import Graph
 
 
@@ -136,6 +138,105 @@ def brute_chordless_cycles(g: Graph) -> set:
                     bwd = tuple(seq[(k - t) % size] for t in range(size))
                     out.add(min(fwd, bwd))
     return out
+
+
+# ---------------------------------------------------------------------------
+# eigensolver oracle: Householder tridiagonalization + implicit-shift QL in
+# plain Python loops, independent of LAPACK
+# ---------------------------------------------------------------------------
+
+_QL_MAX_SWEEPS = 60
+
+
+def tridiagonalize(a: np.ndarray, accumulate: bool = True):
+    """Reduce symmetric `a` to tridiagonal T = Q^T A Q via Householder reflections.
+
+    Returns (d, e, q): diagonal, subdiagonal (length n-1), and Q (or None when
+    accumulate=False).
+    """
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    q = np.eye(n) if accumulate else None
+    for k in range(n - 2):
+        x = a[k + 1:, k]
+        alpha = float(np.linalg.norm(x))
+        if alpha == 0.0:
+            continue
+        if x[0] > 0:
+            alpha = -alpha
+        v = x.copy()
+        v[0] -= alpha
+        vnorm = float(np.linalg.norm(v))
+        if vnorm == 0.0:
+            continue
+        v /= vnorm
+        sub = a[k + 1:, k + 1:]
+        w = sub @ v
+        w -= (v @ w) * v
+        sub -= 2.0 * np.outer(v, w)
+        sub -= 2.0 * np.outer(w, v)
+        a[k + 1:, k] = 0.0
+        a[k, k + 1:] = 0.0
+        a[k + 1, k] = alpha
+        a[k, k + 1] = alpha
+        if accumulate:
+            qsub = q[:, k + 1:]
+            qsub -= 2.0 * np.outer(qsub @ v, v)
+    d = np.diag(a).copy()
+    e = np.diag(a, 1).copy() if n > 1 else np.zeros(0)
+    return d, e, q
+
+
+def ql_implicit(d: np.ndarray, e: np.ndarray, z: np.ndarray = None) -> np.ndarray:
+    """Implicit-shift QL sweeps on a tridiagonal matrix; rotations hit z's columns."""
+    d = d.astype(float).copy()
+    n = d.size
+    ee = np.zeros(n)
+    ee[: n - 1] = e
+    eps = np.finfo(float).eps
+    for l in range(n):
+        for sweep in range(_QL_MAX_SWEEPS + 1):
+            m = l
+            while m < n - 1:
+                if abs(ee[m]) <= eps * (abs(d[m]) + abs(d[m + 1])):
+                    break
+                m += 1
+            if m == l:
+                break
+            if sweep == _QL_MAX_SWEEPS:
+                raise ConvergenceError(f"QL iteration stalled at index {l}")
+            g = (d[l + 1] - d[l]) / (2.0 * ee[l])
+            r = float(np.hypot(g, 1.0))
+            g = d[m] - d[l] + ee[l] / (g + (r if g >= 0 else -r))
+            s = c = 1.0
+            p = 0.0
+            broke = False
+            for i in range(m - 1, l - 1, -1):
+                f = s * ee[i]
+                b = c * ee[i]
+                r = float(np.hypot(f, g))
+                ee[i + 1] = r
+                if r == 0.0:
+                    d[i + 1] -= p
+                    ee[m] = 0.0
+                    broke = True
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                if z is not None:
+                    col = z[:, i + 1].copy()
+                    z[:, i + 1] = s * z[:, i] + c * col
+                    z[:, i] = c * z[:, i] - s * col
+            if not broke:
+                d[l] -= p
+                ee[l] = g
+                ee[m] = 0.0
+    return d
 
 
 @pytest.fixture

@@ -164,6 +164,16 @@ class TestConvergenceTime:
         slope = np.polyfit(ts, np.log(traj.spread), 1)[0]
         assert -slope == pytest.approx(lam2, rel=0.05)
 
+    def test_one_eigensolve_per_call(self, rng, monkeypatch):
+        from cohesion_lab import eigen
+
+        calls = []
+        solve = eigen.eigh
+        monkeypatch.setattr(eigen, "eigh", lambda a: calls.append(1) or solve(a))
+        g = random_connected_graph(rng, 10, 16)
+        convergence_time(g, ROW, rng.standard_normal(10), epsilon=1e-8)
+        assert len(calls) == 1
+
     def test_bisection_hits_threshold(self, rng):
         g = random_connected_graph(rng, 8, 13)
         y0 = rng.standard_normal(8)

@@ -62,6 +62,14 @@ class TestCliSpectra:
         assert "0.0000" in captured.out
         assert "connected" in captured.err
 
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_weight_exits_3_with_one_line(self, tmp_path, capsys, weight):
+        f = tmp_path / "bad.edges"
+        f.write_text(f"0 1\n1 2 {weight}\n2 0\n")
+        assert main(["spectra", str(f)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "non-finite" in err
+
     def test_no_bounds_flag_allows_disconnected(self, tmp_path, capsys):
         f = tmp_path / "two.edges"
         f.write_text("0 1\n2 3\n")

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,14 @@ class TestRewire:
         base = cycle(12)
         out = rewire(base, RewireConfig(p=0.5, mode="pair"), seed=2)
         assert out.m == base.m and is_connected(out)
+
+    @pytest.mark.parametrize("mode", ["endpoint", "pair"])
+    def test_no_landing_node_raises_instead_of_hanging(self, mode):
+        # every cross-group tie of K4 with groups {0,1,2},{3} already exists
+        start = time.perf_counter()
+        with pytest.raises(ResourceBudgetError, match="land"):
+            rewire(clique(4), RewireConfig(p=1.0, mode=mode), seed=0, groups=[[0, 1, 2], [3]])
+        assert time.perf_counter() - start < 1.0
 
     def test_retry_budget(self):
         with pytest.raises(ResourceBudgetError):

@@ -65,6 +65,13 @@ class TestEdgeListIO:
         with pytest.raises(ValidationError):
             from_edge_list("x x")
 
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ValidationError, match="non-finite"):
+            from_edge_list(f"0 1\n1 2 {weight}")
+        with pytest.raises(ValidationError, match="non-finite"):
+            Graph.from_edges(3, [(0, 1), (1, 2, float(weight))])
+
     def test_comments_and_blanks_ignored(self):
         g, _ = from_edge_list("# full comment\n0 1  # trailing\n\n1 2\n")
         assert g.m == 2

@@ -46,6 +46,10 @@ class TestLaplacianConstruction:
             laplacian(g, ROW)
         with pytest.raises(DomainError):
             laplacian(g, SYM)
+        # rownorm is solved through its symmetric similarity, yet the message
+        # names the kind the caller asked for
+        with pytest.raises(DomainError, match="^rownorm laplacian .* node 2 is isolated"):
+            algebraic_connectivity(g, "rownorm")
         laplacian(g, BIN)  # fine
 
     def test_directed_symmetrization_policies(self):
