@@ -5,6 +5,7 @@ violation.
 """
 
 import argparse
+import json
 import sys
 
 from .errors import CohesionError, DomainError, EdgeListParseError
@@ -93,7 +94,7 @@ def main(argv=None) -> int:
         for line in report.summary_lines():
             print(line)
         return EXIT_OK if report.passed() else EXIT_TARGET_MISS
-    except (EdgeListParseError, FileNotFoundError, OSError) as exc:
+    except (EdgeListParseError, json.JSONDecodeError, OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     except DomainError as exc:

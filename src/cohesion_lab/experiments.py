@@ -10,7 +10,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from multiprocessing import get_context
 
@@ -68,10 +68,20 @@ class ExperimentConfig:
     svg: bool = True
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # a standard error needs at least two replications
+        if self.reps is not None and not (isinstance(self.reps, int) and self.reps >= 2):
+            raise DomainError(f"reps must be an integer >= 2, got {self.reps!r}")
+
     @classmethod
     def from_json_file(cls, path: str, **overrides):
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise DomainError(f"config file {path} must hold a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise DomainError(f"config file {path} has unknown keys {unknown}")
         data.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**data)
 
@@ -173,7 +183,7 @@ def _table1_sample(args):
     if p == 0.0:
         g = base
     else:
-        cfg = RewireConfig(p=p, constraint="keep_clusters_linked")
+        cfg = RewireConfig(p=p)
         g = rewire(base, cfg, seed=child_seed(master_seed, round(p * 1000), rep), groups=groups)
     lam2 = algebraic_connectivity(g, LaplacianKind.ROW_NORMALIZED)
     md = distance_summary(g).mean_distance
@@ -183,7 +193,7 @@ def _table1_sample(args):
 
 def run_table1(config: ExperimentConfig) -> ExperimentReport:
     targets = load_targets()["table1"]
-    reps = config.reps or 1000
+    reps = 1000 if config.reps is None else config.reps
     p_values = config.params.get("p_values", targets["p_values"])
     cells = {"p": [], "lambda2_mean": [], "lambda2_se": [], "mean_distance_mean": [],
              "mean_distance_se": [], "kappa_mean": [], "kappa_se": [],
@@ -320,7 +330,7 @@ def _fig3_sample(args):
 
 def run_fig3(config: ExperimentConfig) -> ExperimentReport:
     targets = load_targets()["figure3"]
-    per_family = (config.reps or 200) // 2
+    per_family = (200 if config.reps is None else config.reps) // 2
     lo, hi = targets["size_range"]
     dens = targets["density"]
     cells = {}
@@ -364,7 +374,8 @@ def run_fig3(config: ExperimentConfig) -> ExperimentReport:
 def run_fig4a(config: ExperimentConfig) -> ExperimentReport:
     targets = load_targets()["table1"]
     sub = ExperimentConfig(experiment="table1", seed=config.seed,
-                           reps=config.reps or 200, workers=config.workers, out_dir=None, svg=False)
+                           reps=200 if config.reps is None else config.reps,
+                           workers=config.workers, out_dir=None, svg=False)
     table = run_table1(sub)
     md = table.cells["mean_distance_mean"]
     t = table.cells["time_seconds"]
@@ -514,7 +525,7 @@ def run_fig5(config: ExperimentConfig) -> ExperimentReport:
 
 def run_appendix(config: ExperimentConfig) -> ExperimentReport:
     targets = load_targets()["memory"]
-    reps = config.reps or 10000
+    reps = 10000 if config.reps is None else config.reps
     cross = config.params.get("cross_style", "cluster_pairing")
     rule = config.params.get("rule", "pair_average")
     result = memory_experiment(reps=reps, seed=config.seed, cross_style=cross, rule=rule)

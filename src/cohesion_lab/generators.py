@@ -6,13 +6,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DomainError, ResourceBudgetError
-from .graphs import (
-    Graph,
-    bfs_distances,
-    is_connected,
-    longest_chordless_cycle,
-    smallest_cycle,
-)
+from .graphs import Graph, hop_distances, is_connected, longest_chordless_cycle, smallest_cycle
 from .spectra import LaplacianKind, algebraic_connectivity, spectrum
 
 # ---------------------------------------------------------------------------
@@ -75,8 +69,7 @@ def square_lattice(side: int) -> Graph:
 
 def standard_graph(spec_str: str) -> Graph:
     """Parse 'clique:24', 'ring_lattice:24:4', 'square_lattice:5', ..."""
-    parts = spec_str.split(":")
-    name, args = parts[0], [int(x) for x in parts[1:]]
+    name, *raw_args = spec_str.split(":")
     table = {
         "clique": clique,
         "cycle": cycle,
@@ -90,6 +83,10 @@ def standard_graph(spec_str: str) -> Graph:
     }
     if name not in table:
         raise DomainError(f"unknown generator {name!r}")
+    try:
+        args = [int(x) for x in raw_args]
+    except ValueError:
+        raise DomainError(f"arguments for {name} must be integers, got {spec_str!r}") from None
     try:
         return table[name](*args)
     except TypeError as exc:
@@ -156,15 +153,12 @@ class RewireConfig:
     """
 
     p: float
-    constraint: str = "keep_connected"  # or "keep_clusters_linked"
     max_retries: int = 200
     mode: str = "endpoint"  # or "pair"
 
     def __post_init__(self):
         if not (0.0 <= self.p <= 1.0):
             raise DomainError(f"rewiring probability must be in [0,1], got {self.p}")
-        if self.constraint not in ("keep_connected", "keep_clusters_linked"):
-            raise DomainError(f"unknown constraint {self.constraint!r}")
         if self.mode not in ("endpoint", "pair"):
             raise DomainError(f"unknown rewire mode {self.mode!r}")
 
@@ -357,33 +351,6 @@ def chord_midway(cycle_len: int) -> Graph:
     return g.with_edges_added([(0, cycle_len // 2)])
 
 
-def _total_distance(adj, n):
-    """Sum of all-pairs hop distances (ordered); -1 if disconnected."""
-    from collections import deque
-
-    total = 0
-    for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        q = deque([s])
-        seen = 1
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    seen += 1
-                    total += dist[v]
-                    q.append(v)
-        if seen != n:
-            return -1
-    return total
-
-
-def _adj_sets(g: Graph):
-    return {u: set(g.neighbors(u)) for u in range(g.n)}
-
-
 @dataclass(frozen=True)
 class RelocationPlan:
     """One tie relayed from the smallest cycle onto the longest chordless cycle."""
@@ -399,14 +366,6 @@ class RelocationPlan:
     midway_gain_first_order: float
     awkward_gain_first_order: float
     gap_after_removal: float
-
-
-def _distance_with_edge(g: Graph, extra):
-    adj = {u: list(g.neighbors(u)) for u in range(g.n)}
-    a, b = extra
-    adj[a].append(b)
-    adj[b].append(a)
-    return _total_distance(adj, g.n)
 
 
 def relocation_plan(g: Graph, min_cycle_len: int = 6) -> RelocationPlan:
@@ -443,19 +402,27 @@ def relocation_plan(g: Graph, min_cycle_len: int = 6) -> RelocationPlan:
     nodes = target.nodes
     l = len(nodes)
     half = l // 2
-    adj_h = _adj_sets(h)
+    dist_h = hop_distances(h)
+
+    def total_with(pair):
+        """Total distance of h plus the tie `pair`, by the exact single-edge update
+        (h is connected, so dist_h holds no -1)."""
+        a, b = pair
+        via = np.minimum(dist_h[:, a, None] + 1 + dist_h[None, b, :],
+                         dist_h[:, b, None] + 1 + dist_h[None, a, :])
+        return int(np.minimum(dist_h, via).sum())
 
     midway = []
     for i in range(l):
         a, b = nodes[i], nodes[(i + half) % l]
         pair = (min(a, b), max(a, b))
-        if a == b or b in adj_h[a] or pair == removed:
+        if a == b or h.has_edge(a, b) or pair == removed:
             continue
         midway.append(pair)
     if not midway:
         raise DomainError("no midway chord position is available")
     mid_scored = sorted(
-        {(pair, _distance_with_edge(h, pair)) for pair in midway}, key=lambda t: (t[1], t[0])
+        {(pair, total_with(pair)) for pair in midway}, key=lambda t: (t[1], t[0])
     )
     best_total = mid_scored[0][1]
     tied = [pair for pair, tot in mid_scored if tot == best_total]
@@ -468,19 +435,18 @@ def relocation_plan(g: Graph, min_cycle_len: int = 6) -> RelocationPlan:
         tied = [pair for pair in tied if lam[pair] == top]
     midway_pick = min(tied)
 
-    worst_pick, worst_total = None, -1
-    ties_w = []
+    worst_total, ties_w = -1, []
     for a in range(g.n):
         for b in range(a + 1, g.n):
-            if b in adj_h[a] or (a, b) == removed:
+            if h.has_edge(a, b) or (a, b) == removed:
                 continue
-            tot = _distance_with_edge(h, (a, b))
+            tot = total_with((a, b))
             if tot > worst_total:
                 worst_total = tot
                 ties_w = [(a, b)]
             elif tot == worst_total:
                 ties_w.append((a, b))
-    if worst_total < 0 or not ties_w:
+    if not ties_w:
         raise DomainError("no awkward placement is available")
     if len(ties_w) > 1:
         lam = {
@@ -493,14 +459,13 @@ def relocation_plan(g: Graph, min_cycle_len: int = 6) -> RelocationPlan:
 
     gain_mid = float((vh[midway_pick[0]] - vh[midway_pick[1]]) ** 2)
     gain_awk = float((vh[worst_pick[0]] - vh[worst_pick[1]]) ** 2)
-    total_before = _total_distance({u: sorted(g.neighbors(u)) for u in range(g.n)}, g.n)
     return RelocationPlan(
         removed=removed,
         cycle_nodes=nodes,
         midway_added=midway_pick,
         awkward_added=worst_pick,
-        total_distance_before=total_before,
-        total_distance_midway=_distance_with_edge(h, midway_pick),
+        total_distance_before=int(hop_distances(g).sum()),
+        total_distance_midway=best_total,
         total_distance_awkward=worst_total,
         fiedler_loss=float(loss),
         midway_gain_first_order=gain_mid,

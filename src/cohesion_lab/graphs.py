@@ -7,8 +7,11 @@ the unweighted hop structure.
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
+
+import numpy as np
 
 from .errors import DomainError, EdgeListParseError, ResourceBudgetError, ValidationError
 
@@ -27,7 +30,6 @@ class Graph:
     n: int
     edges: tuple  # tuple of (u, v, w); u < v when undirected
     directed: bool = False
-    _adj: dict = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_edges(cls, n: int, edges, directed: bool = False) -> "Graph":
@@ -53,30 +55,36 @@ class Graph:
             if key in seen and seen[key] != w:
                 raise ValidationError(f"conflicting weights for edge {key}")
             seen[key] = w
-        edge_tuple = tuple(sorted((u, v, w) for (u, v), w in seen.items()))
-        g = cls(n=n, edges=edge_tuple, directed=directed)
-        object.__setattr__(g, "_adj", _build_adjacency(n, edge_tuple, directed))
-        return g
+        return cls(n=n, edges=tuple(sorted((u, v, w) for (u, v), w in seen.items())), directed=directed)
 
     @property
     def m(self) -> int:
         """Number of stored edges."""
         return len(self.edges)
 
-    def adjacency(self) -> dict:
-        """node -> sorted list of (neighbor, weight). Directed: out-neighbors."""
-        if self._adj is None:
-            object.__setattr__(self, "_adj", _build_adjacency(self.n, self.edges, self.directed))
-        return self._adj
+    @cached_property
+    def adj(self) -> tuple:
+        """Per node, the sorted tuple of its neighbours (directed: out-neighbours)."""
+        out = [[] for _ in range(self.n)]
+        for u, v, _w in self.edges:
+            out[u].append(v)
+            if not self.directed:
+                out[v].append(u)
+        return tuple(tuple(sorted(a)) for a in out)
 
-    def neighbors(self, u: int) -> list:
-        return [v for v, _ in self.adjacency()[u]]
+    @cached_property
+    def adj_sets(self) -> tuple:
+        """Per node, the frozenset of its neighbours, for O(1) membership tests."""
+        return tuple(frozenset(a) for a in self.adj)
+
+    def neighbors(self, u: int) -> tuple:
+        return self.adj[u]
 
     def degree(self, u: int) -> int:
-        return len(self.adjacency()[u])
+        return len(self.adj[u])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return any(x == v for x, _ in self.adjacency()[u])
+        return v in self.adj_sets[u]
 
     def edge_set(self) -> set:
         """Unweighted undirected edge set as {(u, v): u < v}."""
@@ -96,17 +104,6 @@ class Graph:
         if len(kept) != self.m - len(dropset):
             raise ValidationError("edge to remove is not present")
         return Graph.from_edges(self.n, kept, self.directed)
-
-
-def _build_adjacency(n, edges, directed):
-    adj = {u: [] for u in range(n)}
-    for u, v, w in edges:
-        adj[u].append((v, w))
-        if not directed:
-            adj[v].append((u, w))
-    for u in adj:
-        adj[u].sort()
-    return adj
 
 
 def _require_undirected(g: Graph, op: str):
@@ -209,7 +206,7 @@ def connected_components(g: Graph):
     """Returns (count, labels) with labels[v] = 0-based component id."""
     _require_undirected(g, "connected_components")
     labels = [-1] * g.n
-    adj = g.adjacency()
+    adj = g.adj
     count = 0
     for s in range(g.n):
         if labels[s] >= 0:
@@ -218,7 +215,7 @@ def connected_components(g: Graph):
         q = deque([s])
         while q:
             u = q.popleft()
-            for v, _ in adj[u]:
+            for v in adj[u]:
                 if labels[v] < 0:
                     labels[v] = count
                     q.append(v)
@@ -230,86 +227,99 @@ def is_connected(g: Graph) -> bool:
     return connected_components(g)[0] == 1
 
 
-def bfs_distances(g: Graph, source: int) -> list:
-    """Hop distances from source; -1 for unreachable nodes."""
-    dist = [-1] * g.n
-    dist[source] = 0
-    adj = g.adjacency()
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        for v, _ in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                q.append(v)
-    return dist
+def hop_distances(g: Graph) -> np.ndarray:
+    """All-pairs hop distances as an n x n integer matrix; -1 where unreachable.
+
+    One breadth-first search per source over the cached neighbour tuples
+    (directed: along out-edges); edge weights are ignored.
+    """
+    adj = g.adj
+    out = np.empty((g.n, g.n), dtype=np.int64)
+    for s in range(g.n):
+        dist = [-1] * g.n
+        dist[s] = 0
+        frontier = [s]
+        d = 0
+        while frontier:
+            d += 1
+            reached = []
+            for u in frontier:
+                for v in adj[u]:
+                    if dist[v] < 0:
+                        dist[v] = d
+                        reached.append(v)
+            frontier = reached
+        out[s] = dist
+    return out
 
 
 def distance_summary(g: Graph) -> DistanceSummary:
-    """All-pairs BFS mean distance and diameter (hop metric, weights ignored)."""
+    """Mean distance and diameter over all pairs (hop metric, weights ignored)."""
     _require_undirected(g, "distance_summary")
     if g.n < 2:
         return DistanceSummary(mean_distance=0.0, diameter=0, finite=True)
-    total = 0
-    diameter = 0
-    for s in range(g.n):
-        dist = bfs_distances(g, s)
-        for d in dist:
-            if d < 0:
-                return DistanceSummary(mean_distance=float("inf"), diameter=0, finite=False)
-            total += d
-            if d > diameter:
-                diameter = d
-    mean = total / (g.n * (g.n - 1))
-    return DistanceSummary(mean_distance=mean, diameter=diameter, finite=True)
+    dist = hop_distances(g)
+    if (dist < 0).any():
+        return DistanceSummary(mean_distance=float("inf"), diameter=0, finite=False)
+    mean = int(dist.sum()) / (g.n * (g.n - 1))
+    return DistanceSummary(mean_distance=mean, diameter=int(dist.max()), finite=True)
 
 
 # ---------------------------------------------------------------------------
 # vertex connectivity (node-splitting max-flow, Menger)
 # ---------------------------------------------------------------------------
 
-def _local_node_connectivity(adj_sets, n, s, t, cutoff):
+def _split_network(g: Graph):
+    """Even's node-split residual network as arc arrays, built once per graph.
+
+    v_in = 2v and v_out = 2v+1. Every node gets a split arc v_in -> v_out of
+    capacity 1; each undirected edge (a, b) becomes a_out -> b_in and
+    b_out -> a_in of capacity n. Arc e's reverse is arc e ^ 1. Returns
+    (head, capacity, arcs leaving each network node).
+    """
+    head, cap = [], []
+    out = [[] for _ in range(2 * g.n)]
+    arcs = [(2 * v, 2 * v + 1, 1) for v in range(g.n)]
+    for a, b, _w in g.edges:
+        arcs += [(2 * a + 1, 2 * b, g.n), (2 * b + 1, 2 * a, g.n)]
+    for a, b, c in arcs:
+        out[a].append(len(head))
+        out[b].append(len(head) + 1)
+        head += [b, a]
+        cap += [c, 0]
+    return head, cap, out
+
+
+def _local_node_connectivity(network, s, t, cutoff):
     """Max number of internally node-disjoint s-t paths, stopping at cutoff.
 
-    Node-splitting formulation: v_in -> v_out with capacity 1 for v not in
-    {s, t}; each undirected edge (a, b) becomes a_out->b_in and b_out->a_in.
-    Unit-capacity BFS augmentation; flow value never exceeds n.
+    Unit BFS augmentation from s_out to t_in on a fresh copy of the
+    capacities. The split arcs of s and t stay in the network: no augmenting
+    path leaves s_out through s_in or reaches t_in through t_out.
     """
-    # residual graph over 2n nodes: v_in = 2v, v_out = 2v+1
-    cap = {}
-
-    def add(a, b, c):
-        cap[(a, b)] = cap.get((a, b), 0) + c
-        cap.setdefault((b, a), 0)
-
-    for v in range(n):
-        if v != s and v != t:
-            add(2 * v, 2 * v + 1, 1)
-    for a in range(n):
-        for b in adj_sets[a]:
-            add(2 * a + 1, 2 * b, n)
-    out = {}
-    for (a, b) in cap:
-        out.setdefault(a, []).append(b)
+    head, base_cap, out = network
+    cap = list(base_cap)
     source, sink = 2 * s + 1, 2 * t
     flow = 0
     while flow < cutoff:
-        parent = {source: None}
+        via = [-1] * len(out)  # arc that first reached each network node
+        via[source] = len(head)  # marks the source reached; never followed back
         q = deque([source])
-        while q and sink not in parent:
+        while q and via[sink] < 0:
             u = q.popleft()
-            for v in out.get(u, ()):
-                if v not in parent and cap[(u, v)] > 0:
-                    parent[v] = u
+            for e in out[u]:
+                v = head[e]
+                if via[v] < 0 and cap[e] > 0:
+                    via[v] = e
                     q.append(v)
-        if sink not in parent:
+        if via[sink] < 0:
             break
         v = sink
-        while parent[v] is not None:
-            u = parent[v]
-            cap[(u, v)] -= 1
-            cap[(v, u)] += 1
-            v = u
+        while v != source:
+            e = via[v]
+            cap[e] -= 1
+            cap[e ^ 1] += 1
+            v = head[e ^ 1]
         flow += 1
     return flow
 
@@ -329,17 +339,17 @@ def vertex_connectivity(g: Graph) -> int:
         return g.n - 1
     if not is_connected(g):
         return 0
-    adj_sets = {u: set(g.neighbors(u)) for u in range(g.n)}
-    v = min(range(g.n), key=lambda u: (len(adj_sets[u]), u))
-    best = len(adj_sets[v])
+    network = _split_network(g)
+    v = min(range(g.n), key=lambda u: (g.degree(u), u))
+    best = g.degree(v)
     for t in range(g.n):
-        if t != v and t not in adj_sets[v]:
-            best = min(best, _local_node_connectivity(adj_sets, g.n, v, t, best))
+        if t != v and not g.has_edge(v, t):
+            best = min(best, _local_node_connectivity(network, v, t, best))
             if best == 0:
                 return 0
-    for a, b in combinations(sorted(adj_sets[v]), 2):
-        if b not in adj_sets[a]:
-            best = min(best, _local_node_connectivity(adj_sets, g.n, a, b, best))
+    for a, b in combinations(g.adj[v], 2):
+        if not g.has_edge(a, b):
+            best = min(best, _local_node_connectivity(network, a, b, best))
             if best == 0:
                 return 0
     return best
@@ -372,7 +382,6 @@ def _is_chordless(nodes, adj_sets):
 def smallest_cycle(g: Graph):
     """A girth cycle (ties: lexicographically smallest canonical sequence)."""
     _require_undirected(g, "smallest_cycle")
-    adj_sets = {u: set(g.neighbors(u)) for u in range(g.n)}
     best = None
     for (u, v, _w) in g.edges:
         # shortest u-v path avoiding the edge itself closes a shortest cycle
@@ -384,7 +393,7 @@ def smallest_cycle(g: Graph):
             x = q.popleft()
             if x == v:
                 break
-            for y, _ in g.adjacency()[x]:
+            for y in g.adj[x]:
                 if (x, y) in ((u, v), (v, u)):
                     continue
                 if dist[y] < 0:
@@ -403,7 +412,7 @@ def smallest_cycle(g: Graph):
     if best is None:
         return None
     nodes = best[1]
-    return Cycle(nodes=nodes, chordless=_is_chordless(nodes, adj_sets))
+    return Cycle(nodes=nodes, chordless=_is_chordless(nodes, g.adj_sets))
 
 
 def chordless_cycles(g: Graph, min_len: int = 3):
@@ -413,7 +422,7 @@ def chordless_cycles(g: Graph, min_len: int = 3):
         raise ResourceBudgetError(
             f"chordless-cycle search is bounded to n <= {CHORDLESS_SEARCH_MAX_NODES}, got n = {g.n}"
         )
-    adj_sets = {u: set(g.neighbors(u)) for u in range(g.n)}
+    adj, adj_sets = g.adj, g.adj_sets
     steps = 0
     found = []
 
@@ -426,7 +435,7 @@ def chordless_cycles(g: Graph, min_len: int = 3):
             )
         s = path[0]
         tail = path[-1]
-        for v in sorted(adj_sets[tail]):
+        for v in adj[tail]:
             if v <= s or v in blocked:
                 continue
             # v may see only the tail (and possibly s, closing) among path nodes

@@ -70,6 +70,11 @@ class TestCliSpectra:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "non-finite" in err
 
+    def test_non_integer_generator_argument_exits_3_with_one_line(self, capsys):
+        assert main(["spectra", "clique:abc"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "integers" in err
+
     def test_no_bounds_flag_allows_disconnected(self, tmp_path, capsys):
         f = tmp_path / "two.edges"
         f.write_text("0 1\n2 3\n")
@@ -151,6 +156,28 @@ class TestCliExperiments:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["config"]["reps"] == 800
         assert report["config"]["seed"] == 1
+
+    @pytest.mark.parametrize("body,named", [({"experiment": "appendix", "repz": 500}, "repz"),
+                                            ([500], "JSON object")])
+    def test_config_file_with_unknown_key_or_no_object_exits_3_with_one_line(
+            self, tmp_path, capsys, body, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(body))
+        assert main(["appendix", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err
+
+    def test_malformed_config_file_exits_2_with_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"experiment": "appendix",')
+        assert main(["appendix", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("command,reps", [("table1", "0"), ("appendix", "1")])
+    def test_reps_below_two_exits_3_with_one_line(self, capsys, command, reps):
+        assert main([command, "--reps", reps]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "reps" in err
 
 
 class TestSeedDerivation:

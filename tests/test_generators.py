@@ -28,7 +28,7 @@ from cohesion_lab.generators import (
 )
 from cohesion_lab.graphs import distance_summary, is_connected, vertex_connectivity
 from cohesion_lab.spectra import LaplacianKind, algebraic_connectivity
-from conftest import brute_vertex_connectivity
+from conftest import brute_vertex_connectivity, floyd_warshall
 
 BIN = LaplacianKind.BINARY
 ROW = LaplacianKind.ROW_NORMALIZED
@@ -104,8 +104,7 @@ class TestRewire:
     def test_edge_count_and_connectivity_preserved(self):
         base = clique_chain()
         for seed in range(5):
-            out = rewire(base, RewireConfig(p=0.6, constraint="keep_clusters_linked"),
-                         seed=seed, groups=clique_chain_groups())
+            out = rewire(base, RewireConfig(p=0.6), seed=seed, groups=clique_chain_groups())
             assert out.m == base.m
             assert is_connected(out)
 
@@ -257,9 +256,19 @@ class TestChords:
             assert algebraic_connectivity(awk, BIN) < lam0
 
     def test_plan_distance_bookkeeping(self):
+        def total(graph):
+            return int(floyd_warshall(graph).sum())
+
         suite = relocation_suite(count=2, seed=7)
         for g in suite:
             plan = relocation_plan(g)
+            h = g.with_edges_removed([plan.removed])
+            assert plan.total_distance_before == total(g)
+            assert plan.total_distance_midway == total(h.with_edges_added([plan.midway_added]))
+            assert plan.total_distance_awkward == total(h.with_edges_added([plan.awkward_added]))
+            free = [(a, b) for a in range(g.n) for b in range(a + 1, g.n)
+                    if (a, b) not in h.edge_set() and (a, b) != plan.removed]
+            assert plan.total_distance_awkward == max(total(h.with_edges_added([p])) for p in free)
             assert plan.total_distance_midway < plan.total_distance_before
             assert plan.total_distance_awkward > plan.total_distance_before
 

@@ -9,7 +9,16 @@ from cohesion_lab.errors import (
     ResourceBudgetError,
     ValidationError,
 )
-from cohesion_lab.generators import clique, cycle, path, two_cliques_bridged
+from cohesion_lab.generators import (
+    RewireConfig,
+    clique,
+    clique_chain,
+    clique_chain_groups,
+    cycle,
+    path,
+    rewire,
+    two_cliques_bridged,
+)
 from cohesion_lab.graphs import (
     Graph,
     chordless_cycles,
@@ -17,6 +26,7 @@ from cohesion_lab.graphs import (
     density,
     distance_summary,
     from_edge_list,
+    hop_distances,
     longest_chordless_cycle,
     smallest_cycle,
     to_edge_list,
@@ -94,6 +104,10 @@ class TestGraphInvariants:
         g = Graph.from_edges(n, [(j, i) for i, j in chosen])  # reversed on purpose
         assert all(u < v for u, v, _ in g.edges)
         assert g.edge_set() == set(chosen)
+        for u in range(n):
+            expected = sorted({a + b - u for a, b in chosen if u in (a, b)})
+            assert g.neighbors(u) == tuple(expected) and g.degree(u) == len(expected)
+            assert all(g.has_edge(u, v) == (v in expected) for v in range(n))
 
 
 class TestDensity:
@@ -151,6 +165,7 @@ class TestDistances:
             m = int(rng.integers(1, n * (n - 1) // 2 + 1))
             g = random_graph(rng, n, m)
             d = floyd_warshall(g)
+            assert np.array_equal(hop_distances(g), np.where(np.isinf(d), -1, d))
             ds = distance_summary(g)
             if np.isinf(d).any():
                 assert not ds.finite
@@ -182,10 +197,16 @@ class TestVertexConnectivity:
 
     def test_against_brute_force(self, rng):
         for _ in range(40):
-            n = int(rng.integers(4, 9))
+            n = int(rng.integers(4, 13))
             m = int(rng.integers(n - 1, n * (n - 1) // 2 + 1))
             g = random_graph(rng, n, m)
             assert vertex_connectivity(g) == brute_vertex_connectivity(g)
+        # sparse clustered graphs with low kappa, the structure Table 1 feeds in
+        base, groups = clique_chain(3, 4), clique_chain_groups(3, 4)
+        for p in (0.2, 0.4, 0.6):
+            for seed in range(8):
+                g = rewire(base, RewireConfig(p=p), seed=seed, groups=groups)
+                assert vertex_connectivity(g) == brute_vertex_connectivity(g)
 
     def test_whitney_inequality(self, rng):
         for _ in range(30):
