@@ -20,8 +20,6 @@ EXIT_PRECONDITION = 3
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None, help="master RNG seed")
     parser.add_argument("--reps", type=int, default=None, help="replication count")
-    parser.add_argument("--kind", default=None, choices=["binary", "rownorm", "symnorm"],
-                        help="laplacian kind override")
     parser.add_argument("--out", default=None, help="output directory for report.json/CSV/SVG")
     parser.add_argument("--config", default=None, help="JSON config file (flags override it)")
     parser.add_argument("--workers", type=int, default=None, help="worker processes (default 1)")
@@ -33,7 +31,6 @@ def _build_config(experiment: str, args) -> ExperimentConfig:
         "experiment": experiment,
         "seed": args.seed,
         "reps": args.reps,
-        "kind": args.kind,
         "out_dir": args.out,
         "workers": args.workers,
     }

@@ -1,15 +1,17 @@
-"""Seeded experiment runners that reproduce the published tables and figures.
+"""Seeded experiments that reproduce the published tables and figures.
 
-Every runner takes an ExperimentConfig, returns an ExperimentReport whose
-canonical JSON form is byte-stable given the config, and writes CSV (always)
-plus SVG (optional) artifacts. Published reference values live in
-targets.json and enter reports as data-driven comparisons.
+Each experiment is a function (config, targets) -> Outcome that only computes.
+run_experiment turns the Outcome into an ExperimentReport, whose canonical
+JSON form is byte-stable given the config, and writes its CSV tables and SVG
+plots. Published reference values live in targets.json and enter reports as
+data-driven comparisons.
 """
 
 import json
 import math
 import os
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from multiprocessing import get_context
@@ -17,12 +19,11 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import plot_svg
-from .dynamics import diffuse_spectral, memory_experiment, rep_rng
+from .dynamics import convergence_time, diffuse_spectral, memory_experiment, rep_rng, spread_of
 from .errors import DomainError
 from .fitting import fit_hyperbola, fit_line, fit_power_law
 from .generators import (
     chord_midway,
-    clique,
     clique_chain,
     clique_chain_groups,
     cycle,
@@ -32,7 +33,6 @@ from .generators import (
     relocation_suite,
     rewire,
     RewireConfig,
-    ring_lattice,
     square_lattice,
     standard_graph,
     two_cliques_bridged,
@@ -63,7 +63,6 @@ class ExperimentConfig:
     seed: int = 0
     reps: int = None
     out_dir: str = None
-    kind: str = "rownorm"
     workers: int = 1
     svg: bool = True
     params: dict = field(default_factory=dict)
@@ -121,7 +120,19 @@ class ExperimentReport:
             yield f"  wall clock: {self.wall_clock_seconds:.2f}s"
 
 
-def _compare(cid, anchor, computed, target, kind, tol=None):
+@dataclass
+class Outcome:
+    """What one experiment computed. Comparisons carry no anchor; tables map a
+    CSV name to (header, rows), plots an SVG name to plot_svg.render's
+    positional arguments (series, title, x_label, y_label)."""
+    cells: dict
+    fits: dict = field(default_factory=dict)
+    comparisons: list = field(default_factory=list)
+    tables: dict = field(default_factory=dict)
+    plots: dict = field(default_factory=dict)
+
+
+def _compare(cid, computed, target, kind, tol=None):
     if kind == "abs":
         passed = abs(computed - target) <= tol
     elif kind == "rel":
@@ -140,12 +151,27 @@ def _compare(cid, anchor, computed, target, kind, tol=None):
         raise ValueError(f"unknown comparison kind {kind}")
     return {
         "id": cid,
-        "anchor": anchor,
         "computed": computed if not isinstance(computed, (bool, np.bool_)) else bool(computed),
         "target": target,
         "tolerance": {"type": kind, "value": tol},
         "passed": bool(passed),
     }
+
+
+def _fit(fit) -> dict:
+    return {"parameters": fit.parameters, "rss": fit.rss, "r_squared": fit.r_squared}
+
+
+def _fit_plot(x, y, label, curve, points, fit_label, title, x_label, y_label, extra=()):
+    """render() arguments: observed (x, y) points, then curve(xs) on `points`
+    evenly spaced xs across their range, then any extra series."""
+    xs = np.linspace(min(x), max(x), points)
+    series = [
+        {"x": x, "y": y, "label": label, "kind": "scatter"},
+        {"x": list(xs), "y": list(curve(xs)), "label": fit_label, "kind": "line"},
+        *extra,
+    ]
+    return series, title, x_label, y_label
 
 
 def _pooled_map(fn, items, workers: int):
@@ -156,13 +182,9 @@ def _pooled_map(fn, items, workers: int):
 
 
 def _write(out_dir, name, text):
-    if out_dir is None:
-        return None
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
+    with open(os.path.join(out_dir, name), "w") as fh:
         fh.write(text)
-    return path
 
 
 def _csv(rows, header) -> str:
@@ -176,106 +198,73 @@ def _csv(rows, header) -> str:
 # table 1
 # ---------------------------------------------------------------------------
 
+_TABLE1_METRICS = ("lambda2", "mean_distance", "kappa")
+
+
 def _table1_sample(args):
     p, rep, master_seed = args
-    base = clique_chain()
-    groups = clique_chain_groups()
-    if p == 0.0:
-        g = base
-    else:
-        cfg = RewireConfig(p=p)
-        g = rewire(base, cfg, seed=child_seed(master_seed, round(p * 1000), rep), groups=groups)
-    lam2 = algebraic_connectivity(g, LaplacianKind.ROW_NORMALIZED)
-    md = distance_summary(g).mean_distance
-    kap = vertex_connectivity(g)
-    return lam2, md, kap
+    g = clique_chain()
+    if p != 0.0:
+        g = rewire(g, RewireConfig(p=p), seed=child_seed(master_seed, round(p * 1000), rep),
+                   groups=clique_chain_groups())
+    return (algebraic_connectivity(g, LaplacianKind.ROW_NORMALIZED), distance_summary(g).mean_distance,
+            vertex_connectivity(g))
 
 
-def run_table1(config: ExperimentConfig) -> ExperimentReport:
-    targets = load_targets()["table1"]
-    reps = 1000 if config.reps is None else config.reps
+def table1(config: ExperimentConfig, targets: dict, default_reps: int = 1000) -> Outcome:
+    reps = default_reps if config.reps is None else config.reps
     p_values = config.params.get("p_values", targets["p_values"])
-    cells = {"p": [], "lambda2_mean": [], "lambda2_se": [], "mean_distance_mean": [],
-             "mean_distance_se": [], "kappa_mean": [], "kappa_se": [],
-             "time_seconds": [], "myopic_seconds": []}
+    cells = {"p": [], "time_seconds": [], "myopic_seconds": []}
+    cells.update({f"{m}_{s}": [] for m in _TABLE1_METRICS for s in ("mean", "se")})
     comparisons = []
     for p in p_values:
         n_samples = 1 if p == 0.0 else reps
         results = _pooled_map(_table1_sample, [(p, r, config.seed) for r in range(n_samples)], config.workers)
-        lam = np.array([r[0] for r in results])
-        md = np.array([r[1] for r in results])
-        kap = np.array([r[2] for r in results], dtype=float)
         key = f"{float(p):.1f}"
         cells["p"].append(float(p))
-        cells["lambda2_mean"].append(float(lam.mean()))
-        cells["lambda2_se"].append(float(lam.std(ddof=1) / math.sqrt(lam.size)) if lam.size > 1 else 0.0)
-        cells["mean_distance_mean"].append(float(md.mean()))
-        cells["mean_distance_se"].append(float(md.std(ddof=1) / math.sqrt(md.size)) if md.size > 1 else 0.0)
-        cells["kappa_mean"].append(float(kap.mean()))
-        cells["kappa_se"].append(float(kap.std(ddof=1) / math.sqrt(kap.size)) if kap.size > 1 else 0.0)
         cells["time_seconds"].append(targets["time_seconds"][key])
         cells["myopic_seconds"].append(targets["myopic_seconds"][key])
-        if p == 0.0:
-            dec = targets["p0_decimals"]
-            comparisons.append(_compare(
-                "table1.p_0.lambda2", targets["anchor"], float(lam.mean()),
-                targets["lambda2"][key], "decimals", dec["lambda2"]))
-            comparisons.append(_compare(
-                "table1.p_0.mean_distance", targets["anchor"], float(md.mean()),
-                targets["mean_distance"][key], "decimals", dec["mean_distance"]))
-            comparisons.append(_compare(
-                "table1.p_0.kappa", targets["anchor"], float(kap.mean()),
-                targets["kappa"][key], "decimals", dec["kappa"]))
-        else:
-            comparisons.append(_compare(
-                f"table1.p_{key}.lambda2", targets["anchor"], float(lam.mean()),
-                targets["lambda2"][key], "rel", targets["lambda2_rel_tol"]))
-            comparisons.append(_compare(
-                f"table1.p_{key}.mean_distance", targets["anchor"], float(md.mean()),
-                targets["mean_distance"][key], "rel", targets["mean_distance_rel_tol"]))
-            comparisons.append(_compare(
-                f"table1.p_{key}.kappa", targets["anchor"], float(kap.mean()),
-                targets["kappa"][key], "rel", targets["kappa_rel_tol"]))
+        for i, metric in enumerate(_TABLE1_METRICS):
+            values = np.array([r[i] for r in results], dtype=float)
+            mean = float(values.mean())
+            cells[f"{metric}_mean"].append(mean)
+            cells[f"{metric}_se"].append(
+                float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0)
+            # the unrewired chain is exact, so p = 0 is compared to printed decimals
+            cid, kind, tol = ((f"table1.p_0.{metric}", "decimals", targets["p0_decimals"][metric])
+                              if p == 0.0 else
+                              (f"table1.p_{key}.{metric}", "rel", targets[f"{metric}_rel_tol"]))
+            comparisons.append(_compare(cid, mean, targets[metric][key], kind, tol))
     # learning-curve fits of the published times against the computed means
     pts = list(zip(cells["lambda2_mean"], cells["time_seconds"]))
     fit_nls = fit_power_law(pts, method="nls")
     fit_ols = fit_power_law(pts, method="loglog_ols")
     line = fit_line(pts)
-    fits = {
-        "power_nls": {"parameters": fit_nls.parameters, "rss": fit_nls.rss, "r_squared": fit_nls.r_squared},
-        "power_loglog_ols": {"parameters": fit_ols.parameters, "rss": fit_ols.rss, "r_squared": fit_ols.r_squared},
-        "line": {"parameters": line.parameters, "rss": line.rss, "r_squared": line.r_squared},
-        "published_b": targets["power_law_b"],
-    }
+    fits = {"power_nls": _fit(fit_nls), "power_loglog_ols": _fit(fit_ols), "line": _fit(line),
+            "published_b": targets["power_law_b"]}
     comparisons.append(_compare(
-        "table1.power_law_b_nls", targets["anchor"], fit_nls.parameters["b"],
-        targets["power_law_b_range"], "range"))
-    comparisons.append(_compare(
-        "table1.power_rss_below_line", targets["anchor"], fit_nls.rss, line.rss, "less"))
+        "table1.power_law_b_nls", fit_nls.parameters["b"], targets["power_law_b_range"], "range"))
+    comparisons.append(_compare("table1.power_rss_below_line", fit_nls.rss, line.rss, "less"))
     rows = list(zip(cells["p"], cells["time_seconds"], cells["myopic_seconds"],
                     cells["lambda2_mean"], cells["mean_distance_mean"], cells["kappa_mean"]))
-    csv_text = _csv(rows, ["p", "t_seconds", "myopic_seconds", "lambda2", "mean_distance", "kappa"])
-    _write(config.out_dir, "table1.csv", csv_text)
-    if config.svg and config.out_dir:
-        lam_grid = np.linspace(min(cells["lambda2_mean"]), max(cells["lambda2_mean"]), 100)
-        a, b = fit_nls.parameters["a"], fit_nls.parameters["b"]
-        _write(config.out_dir, "table1_learning_curve.svg", plot_svg.render(
-            [
-                {"x": cells["lambda2_mean"], "y": cells["time_seconds"], "label": "observed t", "kind": "scatter"},
-                {"x": list(lam_grid), "y": list(a * lam_grid ** (-b)), "label": "power-law fit", "kind": "line"},
-                {"x": cells["lambda2_mean"], "y": cells["myopic_seconds"], "label": "myopic model", "kind": "scatter"},
-            ],
-            title="time to consensus vs algebraic connectivity",
-            x_label="lambda2 (row-normalized)", y_label="t (s)"))
-    return ExperimentReport(config=asdict(config), cells=cells, fits=fits, comparisons=comparisons)
+    a, b = fit_nls.parameters["a"], fit_nls.parameters["b"]
+    myopic = {"x": cells["lambda2_mean"], "y": cells["myopic_seconds"], "label": "myopic model",
+              "kind": "scatter"}
+    return Outcome(
+        cells, fits, comparisons,
+        tables={"table1.csv": (["p", "t_seconds", "myopic_seconds", "lambda2", "mean_distance", "kappa"],
+                               rows)},
+        plots={"table1_learning_curve.svg": _fit_plot(
+            cells["lambda2_mean"], cells["time_seconds"], "observed t", lambda xs: a * xs ** (-b), 100,
+            "power-law fit", "time to consensus vs algebraic connectivity",
+            "lambda2 (row-normalized)", "t (s)", extra=[myopic])})
 
 
 # ---------------------------------------------------------------------------
 # figures
 # ---------------------------------------------------------------------------
 
-def run_fig1(config: ExperimentConfig) -> ExperimentReport:
-    targets = load_targets()["figure1"]
+def fig1(config: ExperimentConfig, targets: dict) -> Outcome:
     n = config.params.get("n", 14)
     m = config.params.get("m", 26)
     pool_size = config.params.get("pool", 40)
@@ -285,35 +274,32 @@ def run_fig1(config: ExperimentConfig) -> ExperimentReport:
     hi = samples[int(np.argmax(lams))]
     lo = samples[int(np.argmin(lams))]
     lam_hi, lam_lo = max(lams), min(lams)
-    rng = rep_rng(config.seed, 0)
-    y0 = rng.standard_normal(n)
+    y0 = rep_rng(config.seed, 0).standard_normal(n)
     times = np.linspace(0.0, config.params.get("t_end", 12.0), 60)
     tr_hi = diffuse_spectral(hi, LaplacianKind.ROW_NORMALIZED, y0, times)
     tr_lo = diffuse_spectral(lo, LaplacianKind.ROW_NORMALIZED, y0, times)
-    ordering = bool(np.all(tr_hi.spread[1:] < tr_lo.spread[1:]))
+    # lambda2 governs the tail, not the early transient, so the claim is tested
+    # as which graph first brings the spread within epsilon of consensus
+    eps = 1e-3 * spread_of(y0)
+    t_hi = convergence_time(hi, LaplacianKind.ROW_NORMALIZED, y0, eps)
+    t_lo = convergence_time(lo, LaplacianKind.ROW_NORMALIZED, y0, eps)
     cells = {
         "lambda2_high": lam_hi, "lambda2_low": lam_lo,
         "times": [float(t) for t in times],
         "spread_high": [float(s) for s in tr_hi.spread],
         "spread_low": [float(s) for s in tr_lo.spread],
+        "convergence_time_high": t_hi, "convergence_time_low": t_lo,
         "published_pair": [targets["lambda2_a"], targets["lambda2_b"]],
     }
-    comparisons = [
-        _compare("fig1.lambda2_separated", targets["anchor"], lam_hi, lam_lo, "greater"),
-        _compare("fig1.spread_ordering", targets["anchor"], ordering, True, "bool"),
-    ]
-    csv_text = _csv(
-        list(zip(times, tr_hi.spread, tr_lo.spread)),
-        ["t", "spread_high_lambda2", "spread_low_lambda2"])
-    _write(config.out_dir, "fig1_spread.csv", csv_text)
-    if config.svg and config.out_dir:
-        _write(config.out_dir, "fig1_spread.svg", plot_svg.render(
-            [
-                {"x": list(times), "y": list(tr_hi.spread), "label": f"lambda2={lam_hi:.3f}", "kind": "line"},
-                {"x": list(times), "y": list(tr_lo.spread), "label": f"lambda2={lam_lo:.3f}", "kind": "line"},
-            ],
-            title="positional spread under diffusion", x_label="t", y_label="max(y)-min(y)"))
-    return ExperimentReport(config=asdict(config), cells=cells, fits={}, comparisons=comparisons)
+    return Outcome(
+        cells, comparisons=[_compare("fig1.lambda2_separated", lam_hi, lam_lo, "greater"),
+                            _compare("fig1.converges_faster", t_hi, t_lo, "less")],
+        tables={"fig1_spread.csv": (["t", "spread_high_lambda2", "spread_low_lambda2"],
+                                    list(zip(times, tr_hi.spread, tr_lo.spread)))},
+        plots={"fig1_spread.svg": (
+            [{"x": list(times), "y": list(tr_hi.spread), "label": f"lambda2={lam_hi:.3f}", "kind": "line"},
+             {"x": list(times), "y": list(tr_lo.spread), "label": f"lambda2={lam_lo:.3f}", "kind": "line"}],
+            "positional spread under diffusion", "t", "max(y)-min(y)")})
 
 
 def _fig3_sample(args):
@@ -328,14 +314,14 @@ def _fig3_sample(args):
             rep.diameter_bound, rep.kappa, rep.k_min, ok)
 
 
-def run_fig3(config: ExperimentConfig) -> ExperimentReport:
-    targets = load_targets()["figure3"]
-    per_family = (200 if config.reps is None else config.reps) // 2
+def fig3(config: ExperimentConfig, targets: dict) -> Outcome:
+    reps = 200 if config.reps is None else config.reps
+    if reps < 6:
+        raise DomainError(f"fig3 needs reps >= 6 (a hyperbola fit per family needs 3 graphs), got {reps}")
+    per_family = reps // 2
     lo, hi = targets["size_range"]
     dens = targets["density"]
-    cells = {}
-    comparisons = []
-    fits = {}
+    out = Outcome({})
     violations = 0
     for fam in ("skewed", "poisson"):
         rows = _pooled_map(
@@ -343,62 +329,40 @@ def run_fig3(config: ExperimentConfig) -> ExperimentReport:
             [(fam, i, config.seed, lo, hi, dens) for i in range(per_family)],
             config.workers)
         violations += sum(0 if r[7] else 1 for r in rows)
-        cells[fam] = {
-            "mean_distance": [r[1] for r in rows],
-            "lambda2": [r[2] for r in rows],
-        }
-        fit = fit_hyperbola(list(zip(cells[fam]["mean_distance"], cells[fam]["lambda2"])))
-        fits[fam] = {"parameters": fit.parameters, "rss": fit.rss, "r_squared": fit.r_squared}
-        _write(config.out_dir, f"fig3_{fam}.csv", _csv(
-            [(r[0], r[1], r[2], r[3], r[4], r[5], r[6]) for r in rows],
-            ["n", "mean_distance", "lambda2", "eq5_bound", "diameter_bound", "kappa", "k_min"]))
-    comparisons.append(_compare(
-        "fig3.bound_violations", targets["anchor"], violations,
-        targets["max_bound_violations"], "abs", 0))
-    comparisons.append(_compare(
-        "fig3.poisson_fits_tighter", targets["anchor"],
-        fits["poisson"]["r_squared"], fits["skewed"]["r_squared"], "greater"))
-    if config.svg and config.out_dir:
-        for fam in ("skewed", "poisson"):
-            c1, c2 = fits[fam]["parameters"]["c1"], fits[fam]["parameters"]["c2"]
-            xs = np.linspace(min(cells[fam]["mean_distance"]), max(cells[fam]["mean_distance"]), 80)
-            _write(config.out_dir, f"fig3_{fam}.svg", plot_svg.render(
-                [
-                    {"x": cells[fam]["mean_distance"], "y": cells[fam]["lambda2"], "label": fam, "kind": "scatter"},
-                    {"x": list(xs), "y": list(c1 / (xs + c2)), "label": "hyperbola fit", "kind": "line"},
-                ],
-                title=f"lambda2 vs mean distance ({fam})", x_label="mean distance", y_label="lambda2"))
-    return ExperimentReport(config=asdict(config), cells=cells, fits=fits, comparisons=comparisons)
+        md, lam = [r[1] for r in rows], [r[2] for r in rows]
+        out.cells[fam] = {"mean_distance": md, "lambda2": lam}
+        fit = fit_hyperbola(list(zip(md, lam)))
+        out.fits[fam] = _fit(fit)
+        c1, c2 = fit.parameters["c1"], fit.parameters["c2"]
+        out.tables[f"fig3_{fam}.csv"] = (
+            ["n", "mean_distance", "lambda2", "eq5_bound", "diameter_bound", "kappa", "k_min"],
+            [r[:7] for r in rows])
+        out.plots[f"fig3_{fam}.svg"] = _fit_plot(
+            md, lam, fam, lambda xs: c1 / (xs + c2), 80, "hyperbola fit",
+            f"lambda2 vs mean distance ({fam})", "mean distance", "lambda2")
+    out.comparisons = [
+        _compare("fig3.bound_violations", violations, targets["max_bound_violations"], "abs", 0),
+        _compare("fig3.poisson_fits_tighter", out.fits["poisson"]["r_squared"],
+                 out.fits["skewed"]["r_squared"], "greater"),
+    ]
+    return out
 
 
-def run_fig4a(config: ExperimentConfig) -> ExperimentReport:
-    targets = load_targets()["table1"]
-    sub = ExperimentConfig(experiment="table1", seed=config.seed,
-                           reps=200 if config.reps is None else config.reps,
-                           workers=config.workers, out_dir=None, svg=False)
-    table = run_table1(sub)
-    md = table.cells["mean_distance_mean"]
-    t = table.cells["time_seconds"]
+def fig4a(config: ExperimentConfig, targets: dict) -> Outcome:
+    table = table1(config, targets, default_reps=200).cells
+    md, t = table["mean_distance_mean"], table["time_seconds"]
     line = fit_line(list(zip(md, t)))
-    cells = {"mean_distance": md, "time_seconds": t}
-    fits = {"line": {"parameters": line.parameters, "rss": line.rss, "r_squared": line.r_squared}}
-    _write(config.out_dir, "fig4a.csv", _csv(list(zip(md, t)), ["mean_distance", "t_seconds"]))
-    if config.svg and config.out_dir:
-        xs = np.linspace(min(md), max(md), 10)
-        a, b = line.parameters["alpha"], line.parameters["beta"]
-        _write(config.out_dir, "fig4a.svg", plot_svg.render(
-            [
-                {"x": md, "y": t, "label": "observed", "kind": "scatter"},
-                {"x": list(xs), "y": list(a + b * xs), "label": "line fit", "kind": "line"},
-            ],
-            title="time to consensus vs mean distance", x_label="mean distance", y_label="t (s)"))
-    return ExperimentReport(config=asdict(config), cells=cells, fits=fits,
-                            comparisons=[_compare("fig4a.line_r2", targets["anchor"],
-                                                  line.r_squared, 0.9, "greater")])
+    a, b = line.parameters["alpha"], line.parameters["beta"]
+    return Outcome(
+        {"mean_distance": md, "time_seconds": t}, {"line": _fit(line)},
+        [_compare("fig4a.line_r2", line.r_squared, 0.9, "greater")],
+        tables={"fig4a.csv": (["mean_distance", "t_seconds"], list(zip(md, t)))},
+        plots={"fig4a.svg": _fit_plot(
+            md, t, "observed", lambda xs: a + b * xs, 10, "line fit",
+            "time to consensus vs mean distance", "mean distance", "t (s)")})
 
 
-def run_fig4b(config: ExperimentConfig) -> ExperimentReport:
-    targets = load_targets()["figure4b"]
+def fig4b(config: ExperimentConfig, targets: dict) -> Outcome:
     lo, hi = targets["side_range"]
     sides = list(range(lo, hi + 1))
     mds, lams = [], []
@@ -407,31 +371,18 @@ def run_fig4b(config: ExperimentConfig) -> ExperimentReport:
         mds.append(distance_summary(g).mean_distance)
         lams.append(algebraic_connectivity(g, LaplacianKind.BINARY))
     fit = fit_hyperbola(list(zip(mds, lams)))
-    cells = {"side": sides, "mean_distance": mds, "lambda2": lams}
-    fits = {"hyperbola": {"parameters": fit.parameters, "rss": fit.rss, "r_squared": fit.r_squared}}
-    comparisons = [
-        _compare("fig4b.r2_attainable", targets["anchor"], fit.r_squared,
-                 targets["r_squared_attainable"], "greater"),
-        _compare("fig4b.r2_published_reading", targets["anchor"], fit.r_squared,
-                 targets["r_squared_target"], "greater"),
-    ]
-    _write(config.out_dir, "fig4b.csv", _csv(
-        list(zip(sides, mds, lams)), ["side", "mean_distance", "lambda2"]))
-    if config.svg and config.out_dir:
-        c1, c2 = fit.parameters["c1"], fit.parameters["c2"]
-        xs = np.linspace(min(mds), max(mds), 100)
-        _write(config.out_dir, "fig4b.svg", plot_svg.render(
-            [
-                {"x": mds, "y": lams, "label": "lattices", "kind": "scatter"},
-                {"x": list(xs), "y": list(c1 / (xs + c2)), "label": "hyperbola fit", "kind": "line"},
-            ],
-            title="square lattices: lambda2 vs mean distance",
-            x_label="mean distance", y_label="lambda2"))
-    return ExperimentReport(config=asdict(config), cells=cells, fits=fits, comparisons=comparisons)
+    c1, c2 = fit.parameters["c1"], fit.parameters["c2"]
+    return Outcome(
+        {"side": sides, "mean_distance": mds, "lambda2": lams}, {"hyperbola": _fit(fit)},
+        [_compare("fig4b.r2_attainable", fit.r_squared, targets["r_squared_attainable"], "greater"),
+         _compare("fig4b.r2_published_reading", fit.r_squared, targets["r_squared_target"], "greater")],
+        tables={"fig4b.csv": (["side", "mean_distance", "lambda2"], list(zip(sides, mds, lams)))},
+        plots={"fig4b.svg": _fit_plot(
+            mds, lams, "lattices", lambda xs: c1 / (xs + c2), 100, "hyperbola fit",
+            "square lattices: lambda2 vs mean distance", "mean distance", "lambda2")})
 
 
-def run_fig4c(config: ExperimentConfig) -> ExperimentReport:
-    targets = load_targets()["figure4c"]
+def fig4c(config: ExperimentConfig, targets: dict) -> Outcome:
     n_each = config.params.get("n_each", targets["n_each"])
     k_lo, k_hi = targets["k_range"]
     ks = list(range(k_lo, k_hi + 1))
@@ -440,31 +391,21 @@ def run_fig4c(config: ExperimentConfig) -> ExperimentReport:
         g = two_cliques_bridged(n_each, k, seed=child_seed(config.seed, k))
         lams.append(algebraic_connectivity(g, LaplacianKind.BINARY))
         kappas.append(vertex_connectivity(g))
-    line = fit_line(list(zip([float(k) for k in ks], lams)))
-    cells = {"k": ks, "lambda2": lams, "kappa": kappas}
-    fits = {"line": {"parameters": line.parameters, "rss": line.rss, "r_squared": line.r_squared}}
-    comparisons = [
-        _compare("fig4c.linear_r2", targets["anchor"], line.r_squared,
-                 targets["linear_r_squared"], "greater"),
-        _compare("fig4c.kappa_equals_k", targets["anchor"],
-                 bool(all(kap == k for kap, k in zip(kappas, ks))), True, "bool"),
-    ]
-    _write(config.out_dir, "fig4c.csv", _csv(
-        list(zip(ks, kappas, lams)), ["k", "kappa", "lambda2"]))
-    if config.svg and config.out_dir:
-        xs = np.array([float(k) for k in ks])
-        a, b = line.parameters["alpha"], line.parameters["beta"]
-        _write(config.out_dir, "fig4c.svg", plot_svg.render(
-            [
-                {"x": [float(k) for k in ks], "y": lams, "label": "lambda2", "kind": "scatter"},
-                {"x": list(xs), "y": list(a + b * xs), "label": "linear fit", "kind": "line"},
-            ],
-            title="two bridged cliques", x_label="node-independent bridges k", y_label="lambda2"))
-    return ExperimentReport(config=asdict(config), cells=cells, fits=fits, comparisons=comparisons)
+    kf = [float(k) for k in ks]
+    line = fit_line(list(zip(kf, lams)))
+    a, b = line.parameters["alpha"], line.parameters["beta"]
+    return Outcome(
+        {"k": ks, "lambda2": lams, "kappa": kappas}, {"line": _fit(line)},
+        [_compare("fig4c.linear_r2", line.r_squared, targets["linear_r_squared"], "greater"),
+         _compare("fig4c.kappa_equals_k", kappas == ks, True, "bool")],
+        tables={"fig4c.csv": (["k", "kappa", "lambda2"], list(zip(ks, kappas, lams)))},
+        # integer ks are evenly spaced, so the fitted line is drawn through them
+        plots={"fig4c.svg": _fit_plot(
+            kf, lams, "lambda2", lambda xs: a + b * xs, len(ks), "linear fit",
+            "two bridged cliques", "node-independent bridges k", "lambda2")})
 
 
-def run_fig4d(config: ExperimentConfig) -> ExperimentReport:
-    targets = load_targets()["figure4d"]
+def fig4d(config: ExperimentConfig, targets: dict) -> Outcome:
     lo, hi = targets["length_range"]
     lengths = list(range(lo, hi + 1))
     reductions = []
@@ -472,41 +413,27 @@ def run_fig4d(config: ExperimentConfig) -> ExperimentReport:
         base = distance_summary(cycle(l)).mean_distance
         after = distance_summary(chord_midway(l)).mean_distance
         reductions.append(base - after)
-    evens = [r for l, r in zip(lengths, reductions) if l % 2 == 0]
-    odds = [r for l, r in zip(lengths, reductions) if l % 2 == 1]
-    parity_strict = all(a < b for a, b in zip(evens, evens[1:])) and all(
-        a < b for a, b in zip(odds, odds[1:]))
-    cells = {"length": lengths, "reduction": reductions}
-    comparisons = [
-        _compare("fig4d.all_reductions_positive", targets["anchor"],
-                 bool(all(r > 0 for r in reductions)), True, "bool"),
-        _compare("fig4d.parity_strict_increase", targets["anchor"],
-                 bool(parity_strict), True, "bool"),
-    ]
-    _write(config.out_dir, "fig4d.csv", _csv(
-        list(zip(lengths, reductions)), ["cycle_length", "mean_distance_reduction"]))
-    if config.svg and config.out_dir:
-        _write(config.out_dir, "fig4d.svg", plot_svg.render(
+    # lengths are consecutive, so the next length of the same parity is two on
+    parity_strict = all(a < b for a, b in zip(reductions, reductions[2:]))
+    return Outcome(
+        {"length": lengths, "reduction": reductions},
+        comparisons=[_compare("fig4d.all_reductions_positive", all(r > 0 for r in reductions), True, "bool"),
+                     _compare("fig4d.parity_strict_increase", parity_strict, True, "bool")],
+        tables={"fig4d.csv": (["cycle_length", "mean_distance_reduction"], list(zip(lengths, reductions)))},
+        plots={"fig4d.svg": (
             [{"x": [float(l) for l in lengths], "y": reductions, "label": "reduction", "kind": "scatter"}],
-            title="midway chord: mean-distance reduction", x_label="cycle length", y_label="reduction"))
-    return ExperimentReport(config=asdict(config), cells=cells, fits={}, comparisons=comparisons)
+            "midway chord: mean-distance reduction", "cycle length", "reduction")})
 
 
-def run_fig5(config: ExperimentConfig) -> ExperimentReport:
-    targets = load_targets()["figure5"]
+def fig5(config: ExperimentConfig, targets: dict) -> Outcome:
     count = config.params.get("suite_size", targets["suite_size"])
     suite = relocation_suite(count=count, seed=child_seed(config.seed, 5))
     rows = []
-    inc = dec = 0
     for i, g in enumerate(suite):
-        lam0 = algebraic_connectivity(g, LaplacianKind.BINARY)
-        g_mid, _ = relocate_chord(g, placement="midway")
-        g_awk, _ = relocate_chord(g, placement="awkward")
-        lam_mid = algebraic_connectivity(g_mid, LaplacianKind.BINARY)
-        lam_awk = algebraic_connectivity(g_awk, LaplacianKind.BINARY)
-        inc += lam_mid > lam0
-        dec += lam_awk < lam0
-        rows.append((i, g.n, g.m, lam0, lam_mid, lam_awk))
+        moved = [relocate_chord(g, placement=where)[0] for where in ("midway", "awkward")]
+        rows.append((i, g.n, g.m, *(algebraic_connectivity(h, LaplacianKind.BINARY) for h in (g, *moved))))
+    inc = sum(lam_mid > lam0 for _i, _n, _m, lam0, lam_mid, _awk in rows)
+    dec = sum(lam_awk < lam0 for _i, _n, _m, lam0, _mid, lam_awk in rows)
     cells = {
         "published_dichotomy": [targets["lambda2_original"], targets["lambda2_careful"],
                                 targets["lambda2_awkward"]],
@@ -514,17 +441,15 @@ def run_fig5(config: ExperimentConfig) -> ExperimentReport:
         "lambda2_increased": inc,
         "lambda2_decreased": dec,
     }
-    comparisons = [
-        _compare("fig5.midway_increases_all", targets["anchor"], inc, len(suite), "abs", 0),
-        _compare("fig5.awkward_decreases_all", targets["anchor"], dec, len(suite), "abs", 0),
-    ]
-    _write(config.out_dir, "fig5.csv", _csv(
-        rows, ["index", "n", "m", "lambda2_original", "lambda2_midway", "lambda2_awkward"]))
-    return ExperimentReport(config=asdict(config), cells=cells, fits={}, comparisons=comparisons)
+    return Outcome(
+        cells,
+        comparisons=[_compare("fig5.midway_increases_all", inc, len(suite), "abs", 0),
+                     _compare("fig5.awkward_decreases_all", dec, len(suite), "abs", 0)],
+        tables={"fig5.csv": (["index", "n", "m", "lambda2_original", "lambda2_midway", "lambda2_awkward"],
+                             rows)})
 
 
-def run_appendix(config: ExperimentConfig) -> ExperimentReport:
-    targets = load_targets()["memory"]
+def appendix(config: ExperimentConfig, targets: dict) -> Outcome:
     reps = 10000 if config.reps is None else config.reps
     cross = config.params.get("cross_style", "cluster_pairing")
     rule = config.params.get("rule", "pair_average")
@@ -537,38 +462,56 @@ def run_appendix(config: ExperimentConfig) -> ExperimentReport:
         "reps": reps,
         "protocol": result.protocol,
     }
-    comparisons = [
-        _compare("appendix.sd_difference", targets["anchor"], result.mean_sd_difference,
-                 targets["sd_difference"], "abs", targets["abs_tol"]),
-        _compare("appendix.positive_5_sigma", targets["anchor"], sigma,
-                 targets["min_sigma"], "greater"),
-    ]
-    _write(config.out_dir, "appendix.csv", _csv(
-        [(result.mean_sd_difference, result.mc_standard_error, sigma, reps)],
-        ["mean_sd_difference", "mc_standard_error", "sigma", "reps"]))
-    return ExperimentReport(config=asdict(config), cells=cells, fits={}, comparisons=comparisons)
+    return Outcome(
+        cells,
+        comparisons=[_compare("appendix.sd_difference", result.mean_sd_difference, targets["sd_difference"],
+                              "abs", targets["abs_tol"]),
+                     _compare("appendix.positive_5_sigma", sigma, targets["min_sigma"], "greater")],
+        tables={"appendix.csv": (["mean_sd_difference", "mc_standard_error", "sigma", "reps"],
+                                 [(result.mean_sd_difference, result.mc_standard_error, sigma, reps)])})
 
+
+#: name -> (compute function, targets.json block, the params keys it reads)
+Experiment = namedtuple("Experiment", "fn targets params")
 
 EXPERIMENTS = {
-    "table1": run_table1,
-    "fig1": run_fig1,
-    "fig3": run_fig3,
-    "fig4a": run_fig4a,
-    "fig4b": run_fig4b,
-    "fig4c": run_fig4c,
-    "fig4d": run_fig4d,
-    "fig5": run_fig5,
-    "appendix": run_appendix,
+    "table1": Experiment(table1, "table1", ("p_values",)),
+    "fig1": Experiment(fig1, "figure1", ("n", "m", "pool", "t_end")),
+    "fig3": Experiment(fig3, "figure3", ()),
+    "fig4a": Experiment(fig4a, "table1", ()),
+    "fig4b": Experiment(fig4b, "figure4b", ()),
+    "fig4c": Experiment(fig4c, "figure4c", ("n_each",)),
+    "fig4d": Experiment(fig4d, "figure4d", ()),
+    "fig5": Experiment(fig5, "figure5", ("suite_size",)),
+    "appendix": Experiment(appendix, "memory", ("cross_style", "rule")),
 }
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    if config.experiment not in EXPERIMENTS:
+    """Run one experiment; with out_dir set, write its CSVs, its SVGs (unless
+    svg is off) and report.json there."""
+    spec = EXPERIMENTS.get(config.experiment)
+    if spec is None:
         raise DomainError(f"unknown experiment {config.experiment!r}; "
                           f"registered: {sorted(EXPERIMENTS)}")
+    unknown = sorted(set(config.params) - set(spec.params))
+    if unknown:
+        raise DomainError(f"{config.experiment} does not read params {unknown}; "
+                          f"it reads {list(spec.params)}")
+    targets = load_targets()[spec.targets]
     start = time.perf_counter()
-    report = EXPERIMENTS[config.experiment](config)
-    report.wall_clock_seconds = time.perf_counter() - start
+    out = spec.fn(config, targets)
+    for c in out.comparisons:
+        c["anchor"] = targets["anchor"]
+    if config.out_dir:
+        for name, (header, rows) in out.tables.items():
+            _write(config.out_dir, name, _csv(rows, header))
+        if config.svg:
+            for name, args in out.plots.items():
+                _write(config.out_dir, name, plot_svg.render(*args))
+    report = ExperimentReport(config=asdict(config), cells=out.cells, fits=out.fits,
+                              comparisons=out.comparisons,
+                              wall_clock_seconds=time.perf_counter() - start)
     if config.out_dir:
         _write(config.out_dir, "report.json", report.to_canonical_json())
     return report
@@ -595,5 +538,6 @@ def inspect_spectra(graph_source: str, kind: str, out_dir: str = None):
     lam2 = algebraic_connectivity(g, k)
     spec = spectrum(g, k)
     csv_text = spectrum_to_csv(spec)
-    _write(out_dir, "spectrum.csv", csv_text)
+    if out_dir:
+        _write(out_dir, "spectrum.csv", csv_text)
     return g, lam2, csv_text

@@ -3,7 +3,9 @@ import os
 
 import pytest
 
+from cohesion_lab import experiments
 from cohesion_lab.cli import main
+from cohesion_lab.errors import DomainError
 from cohesion_lab.experiments import (
     ExperimentConfig,
     child_seed,
@@ -114,21 +116,61 @@ class TestExperimentReports:
         assert "wall_clock" not in rep.to_canonical_json()
 
     def test_unknown_experiment_rejected(self):
-        from cohesion_lab.errors import DomainError
-
         with pytest.raises(DomainError):
             run_experiment(ExperimentConfig(experiment="fig99"))
 
-    def test_csv_artifacts_emitted(self, tmp_path):
-        run_experiment(ExperimentConfig(experiment="fig4c", seed=1, out_dir=str(tmp_path)))
-        assert (tmp_path / "fig4c.csv").exists()
-        assert (tmp_path / "fig4c.svg").exists()
-        header = (tmp_path / "fig4c.csv").read_text().splitlines()[0]
-        assert header == "k,kappa,lambda2"
+    #: experiment -> (small-size config, CSV name -> header line, SVG names)
+    ARTIFACTS = {
+        "table1": (dict(reps=2), {"table1.csv": "p,t_seconds,myopic_seconds,lambda2,mean_distance,kappa"},
+                   {"table1_learning_curve.svg"}),
+        "fig1": ({}, {"fig1_spread.csv": "t,spread_high_lambda2,spread_low_lambda2"}, {"fig1_spread.svg"}),
+        "fig3": (dict(reps=6),
+                 {f"fig3_{fam}.csv": "n,mean_distance,lambda2,eq5_bound,diameter_bound,kappa,k_min"
+                  for fam in ("skewed", "poisson")},
+                 {"fig3_skewed.svg", "fig3_poisson.svg"}),
+        "fig4a": (dict(reps=2), {"fig4a.csv": "mean_distance,t_seconds"}, {"fig4a.svg"}),
+        "fig4b": ({}, {"fig4b.csv": "side,mean_distance,lambda2"}, {"fig4b.svg"}),
+        "fig4c": ({}, {"fig4c.csv": "k,kappa,lambda2"}, {"fig4c.svg"}),
+        "fig4d": ({}, {"fig4d.csv": "cycle_length,mean_distance_reduction"}, {"fig4d.svg"}),
+        "fig5": (dict(params={"suite_size": 2}),
+                 {"fig5.csv": "index,n,m,lambda2_original,lambda2_midway,lambda2_awkward"}, set()),
+        "appendix": (dict(reps=20), {"appendix.csv": "mean_sd_difference,mc_standard_error,sigma,reps"},
+                     set()),
+    }
 
-    def test_no_svg_option(self, tmp_path):
-        run_experiment(ExperimentConfig(experiment="fig4c", seed=1, out_dir=str(tmp_path), svg=False))
-        assert not (tmp_path / "fig4c.svg").exists()
+    @pytest.mark.parametrize("experiment", list(ARTIFACTS))
+    def test_csv_artifacts_emitted(self, tmp_path, experiment):
+        kwargs, csvs, svgs = self.ARTIFACTS[experiment]
+        for svg in (True, False):
+            out = tmp_path / f"svg_{svg}"
+            run_experiment(ExperimentConfig(experiment=experiment, seed=1, out_dir=str(out), svg=svg,
+                                            **kwargs))
+            assert set(os.listdir(out)) == {"report.json", *csvs, *(svgs if svg else ())}
+            for name, header in csvs.items():
+                assert (out / name).read_text().splitlines()[0] == header
+
+    @pytest.mark.parametrize("experiment,params", [
+        ("fig5", {"suite_sise": 3}),
+        ("fig4a", {"p_values": [0.0, 1.0]}),
+        ("table1", {"p_values": [0.0, 1.0], "n_each": 5}),
+        ("appendix", {"rule": "exponential", "reps": 3}),
+        ("fig4d", {"side": 10}),
+    ])
+    def test_unknown_params_rejected_before_sampling(self, monkeypatch, experiment, params):
+        def compute(*_args):
+            raise AssertionError("the experiment started")
+
+        spec = experiments.EXPERIMENTS[experiment]
+        monkeypatch.setitem(experiments.EXPERIMENTS, experiment, spec._replace(fn=compute))
+        with pytest.raises(DomainError) as exc:
+            run_experiment(ExperimentConfig(experiment=experiment, params=params))
+        assert repr(sorted(k for k in params if k not in spec.params)) in str(exc.value)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_fig1_higher_lambda2_converges_first_on_every_seed(self, seed):
+        report = run_experiment(ExperimentConfig(experiment="fig1", seed=seed))
+        assert report.passed()
+        assert report.cells["convergence_time_high"] < report.cells["convergence_time_low"]
 
 
 class TestCliExperiments:
@@ -140,6 +182,22 @@ class TestCliExperiments:
 
     def test_figures_subcommand(self, tmp_path):
         assert main(["figures", "fig4d", "--seed", "2", "--out", str(tmp_path)]) == 0
+
+    def test_fig1_passes_at_the_default_seed(self, tmp_path):
+        assert main(["figures", "fig1", "--out", str(tmp_path)]) == 0
+
+    def test_experiment_kind_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "--kind", "binary"])
+        assert exc.value.code == 2
+        assert "--kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reps", ["2", "4", "5"])
+    def test_fig3_too_few_reps_exits_3_before_sampling(self, monkeypatch, capsys, reps):
+        monkeypatch.setattr(experiments, "_pooled_map", None)  # sampling would raise TypeError
+        assert main(["figures", "fig3", "--reps", reps]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "reps" in err
 
     def test_fig4b_reports_documented_miss(self, tmp_path, capsys):
         code = main(["figures", "fig4b", "--out", str(tmp_path), "--no-svg"])
@@ -158,7 +216,8 @@ class TestCliExperiments:
         assert report["config"]["seed"] == 1
 
     @pytest.mark.parametrize("body,named", [({"experiment": "appendix", "repz": 500}, "repz"),
-                                            ([500], "JSON object")])
+                                            ([500], "JSON object"),
+                                            ({"experiment": "fig4b", "kind": "symnorm"}, "kind")])
     def test_config_file_with_unknown_key_or_no_object_exits_3_with_one_line(
             self, tmp_path, capsys, body, named):
         cfg = tmp_path / "cfg.json"
