@@ -101,7 +101,7 @@ def diffuse_spectral(
     exp(-lambda_k t) v_k; disconnected graphs are allowed and settle to
     per-component equilibria (flagged in the result).
     """
-    kind = kind if isinstance(kind, LaplacianKind) else LaplacianKind.parse(kind)
+    kind = LaplacianKind.parse(kind)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValidationError("times must be a non-empty 1-D sequence")
@@ -130,7 +130,7 @@ def diffuse_stepped(
     direction_policy: str = "intersection",
 ) -> Trajectory:
     """Classic 4th-order Runge-Kutta integration of dy/dt = -S L y."""
-    kind = kind if isinstance(kind, LaplacianKind) else LaplacianKind.parse(kind)
+    kind = LaplacianKind.parse(kind)
     if dt <= 0 or t_end <= 0:
         raise DomainError("t_end and dt must be positive")
     if s.values.shape != (g.n,):
@@ -178,7 +178,7 @@ def convergence_time(
 ) -> float:
     """Smallest t with spread(y_t) < epsilon, by bisection on the spectral
     solution; the graph is decomposed once."""
-    kind = kind if isinstance(kind, LaplacianKind) else LaplacianKind.parse(kind)
+    kind = LaplacianKind.parse(kind)
     if not is_connected(g):
         raise DomainError("convergence_time requires a connected graph")
     y = _position_vector(y0, g.n)

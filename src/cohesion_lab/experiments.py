@@ -29,7 +29,7 @@ from .generators import (
     cycle,
     random_poisson,
     random_skewed,
-    relocate_chord,
+    relocation_plan,
     relocation_suite,
     rewire,
     RewireConfig,
@@ -386,11 +386,10 @@ def fig4c(config: ExperimentConfig, targets: dict) -> Outcome:
     n_each = config.params.get("n_each", targets["n_each"])
     k_lo, k_hi = targets["k_range"]
     ks = list(range(k_lo, k_hi + 1))
-    lams, kappas = [], []
-    for k in ks:
-        g = two_cliques_bridged(n_each, k, seed=child_seed(config.seed, k))
-        lams.append(algebraic_connectivity(g, LaplacianKind.BINARY))
-        kappas.append(vertex_connectivity(g))
+    # build every graph first, so a too-small n_each fails before any measuring
+    graphs = [two_cliques_bridged(n_each, k, seed=child_seed(config.seed, k)) for k in ks]
+    lams = [algebraic_connectivity(g, LaplacianKind.BINARY) for g in graphs]
+    kappas = [vertex_connectivity(g) for g in graphs]
     kf = [float(k) for k in ks]
     line = fit_line(list(zip(kf, lams)))
     a, b = line.parameters["alpha"], line.parameters["beta"]
@@ -430,7 +429,9 @@ def fig5(config: ExperimentConfig, targets: dict) -> Outcome:
     suite = relocation_suite(count=count, seed=child_seed(config.seed, 5))
     rows = []
     for i, g in enumerate(suite):
-        moved = [relocate_chord(g, placement=where)[0] for where in ("midway", "awkward")]
+        plan = relocation_plan(g)
+        cut = g.with_edges_removed([plan.removed])
+        moved = [cut.with_edges_added([pair]) for pair in (plan.midway_added, plan.awkward_added)]
         rows.append((i, g.n, g.m, *(algebraic_connectivity(h, LaplacianKind.BINARY) for h in (g, *moved))))
     inc = sum(lam_mid > lam0 for _i, _n, _m, lam0, lam_mid, _awk in rows)
     dec = sum(lam_awk < lam0 for _i, _n, _m, lam0, _mid, lam_awk in rows)

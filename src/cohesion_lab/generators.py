@@ -368,6 +368,18 @@ class RelocationPlan:
     gap_after_removal: float
 
 
+def _totals_with(dist: np.ndarray, pairs: list) -> np.ndarray:
+    """Total distance after adding each tie in `pairs` alone, by the exact
+    single-edge update of the connected hop-distance matrix `dist`, all
+    pairs in one (pairs x n x n) integer broadcast."""
+    a, b = np.array(pairs).T
+    da, db = dist[a], dist[b]  # rows: distances from each pair's ends
+    via = da[:, :, None] + db[:, None, :]
+    np.minimum(via, db[:, :, None] + da[:, None, :], out=via)
+    via += 1
+    return np.minimum(dist, via, out=via).sum(axis=(1, 2))
+
+
 def relocation_plan(g: Graph, min_cycle_len: int = 6) -> RelocationPlan:
     """Choose the tie to remove and both candidate re-insertions.
 
@@ -392,40 +404,31 @@ def relocation_plan(g: Graph, min_cycle_len: int = 6) -> RelocationPlan:
     h = g.with_edges_removed([removed])
     if not is_connected(h):
         raise DomainError("tie removal disconnected the graph")
+    target = longest_chordless_cycle(h, min_len=min_cycle_len)
+    if target is None:
+        raise DomainError(f"no chordless cycle of length >= {min_cycle_len} after removal")
     spec_h = spectrum(h, LaplacianKind.BINARY, weighted=False)
     vh = spec_h.eigenvectors[:, 1]
     loss = spec.lambda2 - spec_h.lambda2
     gap_h = float(spec_h.eigenvalues[2] - spec_h.eigenvalues[1])
-    target = longest_chordless_cycle(h, min_len=min_cycle_len)
-    if target is None:
-        raise DomainError(f"no chordless cycle of length >= {min_cycle_len} after removal")
     nodes = target.nodes
     l = len(nodes)
     half = l // 2
     dist_h = hop_distances(h)
 
-    def total_with(pair):
-        """Total distance of h plus the tie `pair`, by the exact single-edge update
-        (h is connected, so dist_h holds no -1)."""
-        a, b = pair
-        via = np.minimum(dist_h[:, a, None] + 1 + dist_h[None, b, :],
-                         dist_h[:, b, None] + 1 + dist_h[None, a, :])
-        return int(np.minimum(dist_h, via).sum())
-
-    midway = []
+    midway = set()
     for i in range(l):
         a, b = nodes[i], nodes[(i + half) % l]
         pair = (min(a, b), max(a, b))
         if a == b or h.has_edge(a, b) or pair == removed:
             continue
-        midway.append(pair)
+        midway.add(pair)
     if not midway:
         raise DomainError("no midway chord position is available")
-    mid_scored = sorted(
-        {(pair, total_with(pair)) for pair in midway}, key=lambda t: (t[1], t[0])
-    )
-    best_total = mid_scored[0][1]
-    tied = [pair for pair, tot in mid_scored if tot == best_total]
+    midway = sorted(midway)
+    mid_totals = _totals_with(dist_h, midway)
+    best_total = int(mid_totals.min())
+    tied = [pair for pair, tot in zip(midway, mid_totals) if tot == best_total]
     if len(tied) > 1:
         lam = {
             pair: algebraic_connectivity(h.with_edges_added([pair]), LaplacianKind.BINARY, weighted=False)
@@ -435,19 +438,13 @@ def relocation_plan(g: Graph, min_cycle_len: int = 6) -> RelocationPlan:
         tied = [pair for pair in tied if lam[pair] == top]
     midway_pick = min(tied)
 
-    worst_total, ties_w = -1, []
-    for a in range(g.n):
-        for b in range(a + 1, g.n):
-            if h.has_edge(a, b) or (a, b) == removed:
-                continue
-            tot = total_with((a, b))
-            if tot > worst_total:
-                worst_total = tot
-                ties_w = [(a, b)]
-            elif tot == worst_total:
-                ties_w.append((a, b))
-    if not ties_w:
+    free = [(a, b) for a in range(g.n) for b in range(a + 1, g.n)
+            if not h.has_edge(a, b) and (a, b) != removed]
+    if not free:
         raise DomainError("no awkward placement is available")
+    free_totals = _totals_with(dist_h, free)
+    worst_total = int(free_totals.max())
+    ties_w = [pair for pair, tot in zip(free, free_totals) if tot == worst_total]
     if len(ties_w) > 1:
         lam = {
             pair: algebraic_connectivity(h.with_edges_added([pair]), LaplacianKind.BINARY, weighted=False)

@@ -382,21 +382,29 @@ def _is_chordless(nodes, adj_sets):
 def smallest_cycle(g: Graph):
     """A girth cycle (ties: lexicographically smallest canonical sequence)."""
     _require_undirected(g, "smallest_cycle")
+    adj, adj_sets = g.adj, g.adj_sets
+    # the first edge (in sorted order) with a common neighbour c closes the
+    # smallest triangle: any earlier such edge would close a smaller one
+    for u, v, _w in g.edges:
+        common = adj_sets[u] & adj_sets[v]
+        if common:
+            return Cycle(nodes=(u, v, min(common)), chordless=True)
     best = None
-    for (u, v, _w) in g.edges:
-        # shortest u-v path avoiding the edge itself closes a shortest cycle
+    for u, v, _w in g.edges:
+        # shortest u-v path avoiding the edge itself closes a shortest cycle;
+        # nodes at depth len(best) - 1 are not expanded, since any cycle found
+        # through them would be longer than best (the tree above is unchanged)
+        limit = g.n if best is None else len(best) - 1
         dist = [-1] * g.n
         parent = [-1] * g.n
         dist[u] = 0
         q = deque([u])
-        while q:
+        while q and dist[v] < 0:
             x = q.popleft()
-            if x == v:
+            if dist[x] >= limit:
                 break
-            for y in g.adj[x]:
-                if (x, y) in ((u, v), (v, u)):
-                    continue
-                if dist[y] < 0:
+            for y in adj[x]:
+                if dist[y] < 0 and not (x == u and y == v):
                     dist[y] = dist[x] + 1
                     parent[y] = x
                     q.append(y)
@@ -406,13 +414,11 @@ def smallest_cycle(g: Graph):
         while path[-1] != u:
             path.append(parent[path[-1]])
         nodes = _canonical_cycle(tuple(path))
-        key = (len(nodes), nodes)
-        if best is None or key < best:
-            best = key
+        if best is None or (len(nodes), nodes) < (len(best), best):
+            best = nodes
     if best is None:
         return None
-    nodes = best[1]
-    return Cycle(nodes=nodes, chordless=_is_chordless(nodes, g.adj_sets))
+    return Cycle(nodes=best, chordless=_is_chordless(best, adj_sets))
 
 
 def chordless_cycles(g: Graph, min_len: int = 3):
@@ -422,11 +428,14 @@ def chordless_cycles(g: Graph, min_len: int = 3):
         raise ResourceBudgetError(
             f"chordless-cycle search is bounded to n <= {CHORDLESS_SEARCH_MAX_NODES}, got n = {g.n}"
         )
-    adj, adj_sets = g.adj, g.adj_sets
+    adj = g.adj
+    nbr = [sum(1 << u for u in a) for a in adj]  # neighbour sets as bit masks
     steps = 0
     found = []
 
-    def extend(path, blocked):
+    def extend(path, blocked, inner):
+        """blocked: path nodes and every node <= path[0]; inner: the
+        neighbours of path[1:-1]."""
         nonlocal steps
         steps += 1
         if steps > _CHORDLESS_SEARCH_MAX_STEPS:
@@ -435,21 +444,24 @@ def chordless_cycles(g: Graph, min_len: int = 3):
             )
         s = path[0]
         tail = path[-1]
+        skip = blocked | inner
+        closes = nbr[s] if len(path) >= 2 else 0
+        inner_next = inner | nbr[tail] if len(path) >= 2 else inner
         for v in adj[tail]:
-            if v <= s or v in blocked:
-                continue
             # v may see only the tail (and possibly s, closing) among path nodes
-            if any(v in adj_sets[p] for p in path[1:-1]):
+            if skip >> v & 1:
                 continue
-            if len(path) >= 2 and s in adj_sets[v]:
+            if closes >> v & 1:
                 # closes a cycle; record one of the two traversal directions
                 if path[1] < v:
                     found.append(tuple(path) + (v,))
                 continue
-            extend(path + [v], blocked | {v})
+            path.append(v)
+            extend(path, blocked | 1 << v, inner_next)
+            path.pop()
 
     for s in range(g.n):
-        extend([s], {s})
+        extend([s], (1 << (s + 1)) - 1, 0)
     out = []
     for nodes in found:
         if len(nodes) >= min_len:

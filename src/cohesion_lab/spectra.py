@@ -31,7 +31,10 @@ class LaplacianKind(enum.Enum):
     SYM_NORMALIZED = "symnorm"
 
     @classmethod
-    def parse(cls, name: str) -> "LaplacianKind":
+    def parse(cls, name) -> "LaplacianKind":
+        """The kind named by `name`; a LaplacianKind is returned unchanged."""
+        if isinstance(name, cls):
+            return name
         aliases = {
             "binary": cls.BINARY,
             "rownorm": cls.ROW_NORMALIZED,
@@ -111,7 +114,7 @@ def laplacian(
     direction_policy: str = "intersection",
 ) -> np.ndarray:
     """Build the requested Laplacian; directed inputs are symmetrized first."""
-    kind = kind if isinstance(kind, LaplacianKind) else LaplacianKind.parse(kind)
+    kind = LaplacianKind.parse(kind)
     a, deg = _adjacency_degrees(g, kind, weighted, direction_policy)
     if kind is LaplacianKind.BINARY:
         return np.diag(deg) - a
@@ -135,13 +138,13 @@ def eigen_sym(m: np.ndarray, kind: LaplacianKind = None) -> Spectrum:
 
 def spectrum(g: Graph, kind: LaplacianKind = LaplacianKind.BINARY, **kw) -> Spectrum:
     """Spectrum of the chosen Laplacian; row-normalized goes via the similarity."""
-    kind = kind if isinstance(kind, LaplacianKind) else LaplacianKind.parse(kind)
+    kind = LaplacianKind.parse(kind)
     return eigen_sym(_symmetric_operator(g, kind, **kw), kind=kind)
 
 
 def algebraic_connectivity(g: Graph, kind: LaplacianKind = LaplacianKind.BINARY, **kw) -> float:
     """Second-smallest Laplacian eigenvalue; 0 for disconnected graphs."""
-    kind = kind if isinstance(kind, LaplacianKind) else LaplacianKind.parse(kind)
+    kind = LaplacianKind.parse(kind)
     w = eigen.eigvalsh(_symmetric_operator(g, kind, **kw))
     lam2 = float(w[1])
     return 0.0 if abs(lam2) < ZERO_EIGENVALUE_RTOL * max(float(w[-1]), 1.0) else lam2
@@ -154,7 +157,7 @@ def fiedler_pair(g: Graph, kind: LaplacianKind = LaplacianKind.BINARY, **kw):
     image v = D^(-1/2) u of the symmetric eigenvector u, i.e. an actual
     eigenvector of the non-symmetric matrix.
     """
-    kind = kind if isinstance(kind, LaplacianKind) else LaplacianKind.parse(kind)
+    kind = LaplacianKind.parse(kind)
     spec = spectrum(g, kind, **kw)
     vec = spec.eigenvectors[:, 1].copy()
     if kind is LaplacianKind.ROW_NORMALIZED:
@@ -251,7 +254,7 @@ def tradeoff_metrics(g: Graph, kind: LaplacianKind, t: float, **kw) -> TradeoffM
         raise DomainError("tradeoff_metrics requires t > 0")
     if not is_connected(g):
         raise DomainError("tradeoff_metrics requires a connected graph")
-    kind = kind if isinstance(kind, LaplacianKind) else LaplacianKind.parse(kind)
+    kind = LaplacianKind.parse(kind)
     lam = eigen.eigvalsh(_symmetric_operator(g, kind, **kw))
     shifted = lam - lam[0]
     expw = np.exp(-t * shifted)

@@ -166,6 +166,15 @@ class TestExperimentReports:
             run_experiment(ExperimentConfig(experiment=experiment, params=params))
         assert repr(sorted(k for k in params if k not in spec.params)) in str(exc.value)
 
+    def test_fig4c_too_small_n_each_fails_before_measuring(self, monkeypatch):
+        def measure(*_args, **_kw):
+            raise AssertionError("fig4c measured a graph")
+
+        monkeypatch.setattr(experiments, "vertex_connectivity", measure)
+        monkeypatch.setattr(experiments, "algebraic_connectivity", measure)
+        with pytest.raises(DomainError, match="k = 18 leaves too few"):
+            run_experiment(ExperimentConfig(experiment="fig4c", params={"n_each": 22}))
+
     @pytest.mark.parametrize("seed", range(20))
     def test_fig1_higher_lambda2_converges_first_on_every_seed(self, seed):
         report = run_experiment(ExperimentConfig(experiment="fig1", seed=seed))

@@ -26,7 +26,7 @@ from cohesion_lab.generators import (
     star,
     two_cliques_bridged,
 )
-from cohesion_lab.graphs import distance_summary, is_connected, vertex_connectivity
+from cohesion_lab.graphs import Graph, distance_summary, is_connected, vertex_connectivity
 from cohesion_lab.spectra import LaplacianKind, algebraic_connectivity
 from conftest import brute_vertex_connectivity, floyd_warshall
 
@@ -255,22 +255,40 @@ class TestChords:
             assert algebraic_connectivity(mid, BIN) > lam0
             assert algebraic_connectivity(awk, BIN) < lam0
 
-    def test_plan_distance_bookkeeping(self):
+    @staticmethod
+    def _check_plan_against_floyd_warshall(g):
         def total(graph):
             return int(floyd_warshall(graph).sum())
 
-        suite = relocation_suite(count=2, seed=7)
-        for g in suite:
-            plan = relocation_plan(g)
-            h = g.with_edges_removed([plan.removed])
-            assert plan.total_distance_before == total(g)
-            assert plan.total_distance_midway == total(h.with_edges_added([plan.midway_added]))
-            assert plan.total_distance_awkward == total(h.with_edges_added([plan.awkward_added]))
-            free = [(a, b) for a in range(g.n) for b in range(a + 1, g.n)
-                    if (a, b) not in h.edge_set() and (a, b) != plan.removed]
-            assert plan.total_distance_awkward == max(total(h.with_edges_added([p])) for p in free)
+        plan = relocation_plan(g)
+        h = g.with_edges_removed([plan.removed])
+        assert plan.total_distance_before == total(g)
+        assert plan.total_distance_midway == total(h.with_edges_added([plan.midway_added]))
+        assert plan.total_distance_awkward == total(h.with_edges_added([plan.awkward_added]))
+        free = [(a, b) for a in range(g.n) for b in range(a + 1, g.n)
+                if (a, b) not in h.edge_set() and (a, b) != plan.removed]
+        totals = {p: total(h.with_edges_added([p])) for p in free}
+        assert plan.total_distance_awkward == max(totals.values())
+        # ties on the maximum go to the smallest lambda2, then the smallest pair
+        tied = [p for p in free if totals[p] == plan.total_distance_awkward]
+        lam = {p: algebraic_connectivity(h.with_edges_added([p]), BIN, weighted=False) for p in tied}
+        assert plan.awkward_added == min(p for p in tied if lam[p] == min(lam.values()))
+        return plan, tied
+
+    @pytest.mark.parametrize("seed", [7, 31])
+    def test_plan_distance_bookkeeping(self, seed):
+        for g in relocation_suite(count=4, seed=seed):
+            plan, _tied = self._check_plan_against_floyd_warshall(g)
             assert plan.total_distance_midway < plan.total_distance_before
             assert plan.total_distance_awkward > plan.total_distance_before
+
+    def test_plan_bookkeeping_with_tied_awkward_maximum(self):
+        # an 8-cycle with a triangle hanging on node 0: the triangle's far
+        # tie (8, 9) is removed, and four placements tie on the worst total
+        g = Graph.from_edges(10, [(i, (i + 1) % 8) for i in range(8)] + [(0, 8), (0, 9), (8, 9)])
+        plan, tied = self._check_plan_against_floyd_warshall(g)
+        assert plan.removed == (8, 9)
+        assert tied == [(1, 8), (1, 9), (7, 8), (7, 9)]
 
     def test_suite_deterministic(self):
         a = relocation_suite(count=3, seed=42)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohesion_lab import graphs
 from cohesion_lab.errors import (
     DomainError,
     EdgeListParseError,
@@ -17,6 +18,7 @@ from cohesion_lab.generators import (
     cycle,
     path,
     rewire,
+    square_lattice,
     two_cliques_bridged,
 )
 from cohesion_lab.graphs import (
@@ -283,3 +285,40 @@ class TestCycles:
         g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         assert smallest_cycle(g).nodes == (0, 1, 2)
         assert longest_chordless_cycle(g, 3).nodes == (0, 1, 2)
+
+    def test_smallest_cycle_matches_brute_force(self):
+        # the shortest cycles are chordless, so the brute-force set holds them all
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            n = int(rng.integers(4, 9))
+            m = int(rng.integers(n - 1, n * (n - 1) // 2 + 1))
+            g = random_graph(rng, n, m)
+            brute = brute_chordless_cycles(g)
+            c = smallest_cycle(g)
+            if not brute:
+                assert c is None
+                continue
+            girth = min(len(nodes) for nodes in brute)
+            assert c.length == girth
+            assert c.nodes == min(nodes for nodes in brute if len(nodes) == girth)
+            assert c.chordless
+
+    def test_smallest_cycle_without_triangles(self):
+        # girth 4 found by the breadth-first search, not the triangle scan
+        assert smallest_cycle(square_lattice(3)).nodes == (0, 1, 4, 3)
+        g = Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)] + [(1, 5)])
+        assert smallest_cycle(g).nodes == (0, 1, 5, 6, 7)
+        # edge (0, 3) closes (0, 3, 2, 4) first; the smaller (0, 3, 1, 5) is
+        # found only from the later edge (0, 5), at the pruning depth
+        g = Graph.from_edges(6, [(0, 3), (0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)])
+        assert smallest_cycle(g).nodes == (0, 3, 1, 5)
+
+    @pytest.mark.parametrize("budget,fits", [(6098, False), (6099, True)])
+    def test_chordless_search_budget_is_pinned(self, monkeypatch, budget, fits):
+        # square_lattice(5) takes exactly 6,099 expansions
+        monkeypatch.setattr(graphs, "_CHORDLESS_SEARCH_MAX_STEPS", budget)
+        if fits:
+            assert len(chordless_cycles(square_lattice(5))) == 229
+        else:
+            with pytest.raises(ResourceBudgetError, match="6098 expansions"):
+                chordless_cycles(square_lattice(5))

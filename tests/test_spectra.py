@@ -23,6 +23,20 @@ ROW = LaplacianKind.ROW_NORMALIZED
 SYM = LaplacianKind.SYM_NORMALIZED
 
 
+class TestKindParse:
+    def test_enum_passes_through(self):
+        for kind in LaplacianKind:
+            assert LaplacianKind.parse(kind) is kind
+
+    def test_names_and_aliases(self):
+        assert LaplacianKind.parse("RowNorm") is ROW
+        assert LaplacianKind.parse("sym_normalized") is SYM
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(DomainError, match="unknown laplacian kind 'adjacency'"):
+            LaplacianKind.parse("adjacency")
+
+
 class TestLaplacianConstruction:
     def test_k2_binary(self):
         assert np.array_equal(laplacian(clique(2), BIN), np.array([[1.0, -1.0], [-1.0, 1.0]]))
