@@ -177,15 +177,15 @@ def convergence_time(
     tol: float = 1e-6,
 ) -> float:
     """Smallest t with spread(y_t) < epsilon, by bisection on the spectral
-    solution; the graph is decomposed once."""
+    solution; the graph is decomposed once. epsilon and tol must be finite and > 0."""
+    if not (np.isfinite(epsilon) and epsilon > 0 and np.isfinite(tol) and tol > 0):
+        raise DomainError(f"epsilon and tol must be finite and positive, got {epsilon} and {tol}")
     kind = LaplacianKind.parse(kind)
     if not is_connected(g):
         raise DomainError("convergence_time requires a connected graph")
     y = _position_vector(y0, g.n)
     if spread_of(y) <= epsilon:
         raise DomainError(f"spread(y0) = {spread_of(y):.6g} does not exceed epsilon = {epsilon}")
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
 
     _b, states_at = _spectral_solution(g, kind, y)
 
@@ -204,6 +204,8 @@ def convergence_time(
     lo = 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if spread_at(mid) < epsilon:
             hi = mid
         else:
@@ -256,35 +258,30 @@ class RoundSchedule:
         return {"n": self.n, "rounds": [[list(p) for p in rnd] for rnd in self.rounds]}
 
 
-def _apply_pair_average(y: np.ndarray, pairs) -> np.ndarray:
-    out = y.copy()
-    for u, v in pairs:
-        m = 0.5 * (out[u] + out[v])
-        out[u] = m
-        out[v] = m
-    return out
-
-
-def _apply_exponential(y: np.ndarray, pairs, n: int, t_round: float) -> np.ndarray:
-    """exp(-Lrw t) on the round's subgraph; nodes without round ties keep y."""
+def _round_operator(pairs, n: int, rule: str, t_round: float) -> np.ndarray:
+    """The round as an n x n matrix op, y -> op @ y; nodes without round ties keep
+    their value. 'pair_average' puts a 1/2 block on each matched pair; 'exponential'
+    is D^(-1/2) V exp(-t W) V^T D^(1/2) on the round's Lnor = V W V^T (not symmetric)."""
+    op = np.eye(n)
+    if rule == "pair_average":
+        for u, v in pairs:
+            op[np.ix_((u, v), (u, v))] = 0.5
+        return op
+    if rule != "exponential":
+        raise ValidationError(f"unknown round rule {rule!r}")
+    if not (np.isfinite(t_round) and t_round > 0):
+        raise DomainError(f"t_round must be finite and positive, got {t_round}")
     a = np.zeros((n, n))
     for u, v in pairs:
         a[u, v] = a[v, u] = 1.0
-    deg = a.sum(axis=1)
-    active = deg > 0
-    out = y.copy()
-    if not np.any(active):
-        return out
-    idx = np.where(active)[0]
-    sub = a[np.ix_(idx, idx)]
-    dsub = sub.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(dsub)
-    lnor = np.eye(idx.size) - (sub * inv_sqrt[:, None]) * inv_sqrt[None, :]
-    w, v = eigen.eigh(lnor)
-    ysub = y[idx] * np.sqrt(dsub)
-    ysub = v @ (np.exp(-t_round * w) * (v.T @ ysub))
-    out[idx] = ysub * inv_sqrt
-    return out
+    idx = np.flatnonzero(a.any(axis=1))
+    if idx.size:
+        sub = a[np.ix_(idx, idx)]
+        sqrt_deg = np.sqrt(sub.sum(axis=1))
+        inv_sqrt = 1.0 / sqrt_deg
+        w, v = eigen.eigh(np.eye(idx.size) - (sub * inv_sqrt[:, None]) * inv_sqrt[None, :])
+        op[np.ix_(idx, idx)] = inv_sqrt[:, None] * ((v * np.exp(-t_round * w)) @ v.T) * sqrt_deg[None, :]
+    return op
 
 
 def run_rounds(schedule: RoundSchedule, y0, rule="pair_average", t_round: float = 1.0) -> Trajectory:
@@ -292,21 +289,15 @@ def run_rounds(schedule: RoundSchedule, y0, rule="pair_average", t_round: float 
 
     rule 'pair_average' replaces both members of each matched pair by their
     mean (the long-time limit of pairwise diffusion) and requires every round
-    to be a matching; rule 'exponential' diffuses for t_round on each round's
-    subgraph Laplacian.
+    to be a matching; rule 'exponential' diffuses for a finite t_round > 0 on
+    each round's subgraph Laplacian. Each round is applied as one n x n operator.
     """
     y = _position_vector(y0, schedule.n)
-    if rule not in ("pair_average", "exponential"):
-        raise ValidationError(f"unknown round rule {rule!r}")
-    states = [y.copy()]
+    states = [y]
     for r, pairs in enumerate(schedule.rounds):
-        if rule == "pair_average":
-            if not schedule.is_matching(r):
-                raise ValidationError(f"round {r} has overlapping pairs; pair_average needs a matching")
-            y = _apply_pair_average(y, pairs)
-        else:
-            y = _apply_exponential(y, pairs, schedule.n, t_round)
-        states.append(y.copy())
+        if rule == "pair_average" and not schedule.is_matching(r):
+            raise ValidationError(f"round {r} has overlapping pairs; pair_average needs a matching")
+        states.append(_round_operator(pairs, schedule.n, rule, t_round) @ states[-1])
     return Trajectory(
         times=np.arange(len(states), dtype=float),
         states=np.array(states),
@@ -322,6 +313,7 @@ def run_rounds(schedule: RoundSchedule, y0, rule="pair_average", t_round: float 
 CLUSTER_COUNT = 4
 CLUSTER_SIZE = 4
 _N_MEMORY = CLUSTER_COUNT * CLUSTER_SIZE
+_REP_BLOCK = 1024
 
 #: Within-cluster round-robin: three matchings cover each 4-clique.
 _WITHIN_PATTERNS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
@@ -382,12 +374,6 @@ class MemoryExperimentResult:
     protocol: dict = field(compare=False)
 
 
-def _round_mean_sd(schedule: RoundSchedule, y0: np.ndarray, rule: str, t_round: float) -> float:
-    traj = run_rounds(schedule, y0, rule=rule, t_round=t_round)
-    sds = traj.states[1:].std(axis=1)  # population sd of each round output
-    return float(sds.mean())
-
-
 def memory_experiment(
     reps: int,
     seed: int,
@@ -403,17 +389,31 @@ def memory_experiment(
     orderings: any product of symmetric round operators has the same
     second-moment trace either way). Positive differences mean the
     cross-first ordering converged more.
+
+    Both treatments use the same four rounds, so each round's 16 x 16 operator
+    is built once per call (four eigensolves under the exponential rule) and
+    applied to _REP_BLOCK replications at a time as one product; the blocks
+    bound the memory of a large reps. Each replication keeps its rep_rng stream.
     """
     if reps < 1:
         raise DomainError("reps must be >= 1")
     t1, t2 = memory_schedules(cross_style)
+    ops = {pairs: _round_operator(pairs, _N_MEMORY, rule, t_round).T for pairs in set(t1.rounds)}
+
+    def score(y: np.ndarray, rounds) -> np.ndarray:
+        total = np.zeros(len(y))
+        for pairs in rounds:
+            y = y @ ops[pairs]
+            total += y.std(axis=1)  # population sd of each round output
+        return total / len(rounds)
+
     diffs = np.empty(reps)
-    for r in range(reps):
-        rng = rep_rng(seed, r)
-        y0 = rng.integers(0, 2, size=_N_MEMORY).astype(float)
-        s1 = _round_mean_sd(t1, y0, rule, t_round)
-        s2 = _round_mean_sd(t2, y0, rule, t_round)
-        diffs[r] = s2 - s1
+    y0 = np.empty((min(reps, _REP_BLOCK), _N_MEMORY))
+    for start in range(0, reps, _REP_BLOCK):
+        block = y0[: min(_REP_BLOCK, reps - start)]
+        for i in range(len(block)):
+            block[i] = rep_rng(seed, start + i).integers(0, 2, size=_N_MEMORY)
+        diffs[start:start + len(block)] = score(block, t2.rounds) - score(block, t1.rounds)
     se = float(diffs.std(ddof=1) / np.sqrt(reps)) if reps > 1 else float("nan")
     return MemoryExperimentResult(
         mean_sd_difference=float(diffs.mean()),

@@ -1,7 +1,8 @@
 """Shared independent oracles: these deliberately avoid the package's own
 algorithms (Floyd-Warshall vs BFS, subset/matrix-based cuts vs node-splitting
 flow, permutation enumeration vs DFS, Householder + implicit-shift QL vs
-LAPACK) so each check has two routes.
+LAPACK, per-replication round updates vs fixed round operators) so each check
+has two routes.
 """
 
 from itertools import combinations, permutations
@@ -237,6 +238,67 @@ def ql_implicit(d: np.ndarray, e: np.ndarray, z: np.ndarray = None) -> np.ndarra
                 ee[l] = g
                 ee[m] = 0.0
     return d
+
+
+# ---------------------------------------------------------------------------
+# round-protocol oracle: one replication at a time, each round applied to the
+# vector directly (pair means, or its own eigensolve of the round's Lnor)
+# ---------------------------------------------------------------------------
+
+
+def apply_pair_average(y: np.ndarray, pairs) -> np.ndarray:
+    out = y.copy()
+    for u, v in pairs:
+        m = 0.5 * (out[u] + out[v])
+        out[u] = m
+        out[v] = m
+    return out
+
+
+def apply_exponential(y: np.ndarray, pairs, n: int, t_round: float) -> np.ndarray:
+    """exp(-Lrw t) on the round's subgraph; nodes without round ties keep y."""
+    a = np.zeros((n, n))
+    for u, v in pairs:
+        a[u, v] = a[v, u] = 1.0
+    deg = a.sum(axis=1)
+    out = y.copy()
+    idx = np.where(deg > 0)[0]
+    if idx.size == 0:
+        return out
+    sub = a[np.ix_(idx, idx)]
+    dsub = sub.sum(axis=1)
+    inv_sqrt = 1.0 / np.sqrt(dsub)
+    lnor = np.eye(idx.size) - (sub * inv_sqrt[:, None]) * inv_sqrt[None, :]
+    w, v = np.linalg.eigh(lnor)
+    ysub = v @ (np.exp(-t_round * w) * (v.T @ (y[idx] * np.sqrt(dsub))))
+    out[idx] = ysub * inv_sqrt
+    return out
+
+
+def rounds_oracle(rounds, y0, rule: str, t_round: float = 1.0) -> np.ndarray:
+    """Row k is y after round k (row 0 is y0)."""
+    states = [np.asarray(y0, dtype=float)]
+    for pairs in rounds:
+        y = states[-1]
+        states.append(apply_pair_average(y, pairs) if rule == "pair_average"
+                      else apply_exponential(y, pairs, y.size, t_round))
+    return np.array(states)
+
+
+def memory_differences_oracle(reps: int, seed: int, cross_style: str, rule: str,
+                              t_round: float = 1.0) -> np.ndarray:
+    """Per-replication score gaps (cross last minus cross first) of the
+    appendix memory experiment, one replication and one round at a time."""
+    from cohesion_lab.dynamics import memory_schedules, rep_rng
+
+    t1, t2 = memory_schedules(cross_style)
+    diffs = np.empty(reps)
+    for r in range(reps):
+        y0 = rep_rng(seed, r).integers(0, 2, size=16).astype(float)
+        s1, s2 = (float(rounds_oracle(s.rounds, y0, rule, t_round)[1:].std(axis=1).mean())
+                  for s in (t1, t2))
+        diffs[r] = s2 - s1
+    return diffs
 
 
 @pytest.fixture

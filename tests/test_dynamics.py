@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -16,13 +19,44 @@ from cohesion_lab.dynamics import (
     within_cluster_rounds,
 )
 from cohesion_lab.errors import DomainError, ValidationError
-from cohesion_lab.generators import clique, cycle
+from cohesion_lab.generators import clique, clique_chain, cycle
 from cohesion_lab.graphs import Graph
 from cohesion_lab.spectra import LaplacianKind, algebraic_connectivity, laplacian
-from conftest import random_connected_graph
+from conftest import memory_differences_oracle, random_connected_graph, rounds_oracle
 
 BIN = LaplacianKind.BINARY
 ROW = LaplacianKind.ROW_NORMALIZED
+
+
+@contextmanager
+def finishes_within(seconds: float):
+    """Turn a hang into a failure: raise TimeoutError after `seconds`."""
+    def expire(_signum, _frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def counted_eigh(monkeypatch) -> list:
+    """Stub eigen.eigh with a pass-through that appends 1 per call to the returned list."""
+    from cohesion_lab import eigen
+
+    calls = []
+    solve = eigen.eigh
+    monkeypatch.setattr(eigen, "eigh", lambda a: calls.append(1) or solve(a))
+    return calls
+
+
+def random_matching(rng, n) -> tuple:
+    nodes = rng.permutation(n)
+    k = int(rng.integers(1, n // 2 + 1))
+    return tuple((int(nodes[2 * i]), int(nodes[2 * i + 1])) for i in range(k))
 
 
 class TestSpectralDiffusion:
@@ -165,11 +199,7 @@ class TestConvergenceTime:
         assert -slope == pytest.approx(lam2, rel=0.05)
 
     def test_one_eigensolve_per_call(self, rng, monkeypatch):
-        from cohesion_lab import eigen
-
-        calls = []
-        solve = eigen.eigh
-        monkeypatch.setattr(eigen, "eigh", lambda a: calls.append(1) or solve(a))
+        calls = counted_eigh(monkeypatch)
         g = random_connected_graph(rng, 10, 16)
         convergence_time(g, ROW, rng.standard_normal(10), epsilon=1e-8)
         assert len(calls) == 1
@@ -182,6 +212,22 @@ class TestConvergenceTime:
         before = diffuse_spectral(g, BIN, y0, np.array([t - 1e-6])).spread[0]
         after = diffuse_spectral(g, BIN, y0, np.array([t + 1e-6])).spread[0]
         assert after < eps <= before + 1e-9
+
+    @pytest.mark.parametrize("epsilon,tol", [(1e-3, 0.0), (1e-3, -1.0), (np.nan, 1e-6),
+                                             (1e-3, np.nan), (-1e-3, 1e-6), (1e-3, np.inf)])
+    def test_nonpositive_or_nonfinite_epsilon_and_tol_rejected(self, epsilon, tol):
+        y0 = np.arange(36, dtype=float)
+        with finishes_within(5.0), pytest.raises(DomainError, match="finite and positive"):
+            convergence_time(clique_chain(), ROW, y0, epsilon, tol=tol)
+
+    def test_tolerance_below_float_spacing_ends_at_the_crossing(self, rng):
+        g = random_connected_graph(rng, 8, 13)
+        y0 = rng.standard_normal(8)
+        with finishes_within(5.0):
+            t = convergence_time(g, BIN, y0, epsilon=1e-3, tol=1e-300)
+        before = diffuse_spectral(g, BIN, y0, np.array([np.nextafter(t, 0.0)])).spread[0]
+        after = diffuse_spectral(g, BIN, y0, np.array([t])).spread[0]
+        assert after < 1e-3 <= before
 
 
 class TestRounds:
@@ -217,6 +263,45 @@ class TestRounds:
         avg = run_rounds(sched, y0)
         exp = run_rounds(sched, y0, rule="exponential", t_round=50.0)
         assert np.abs(avg.states - exp.states).max() < 1e-8
+
+    def test_matches_oracle_on_random_matchings(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(2, 13))
+            rounds = tuple(random_matching(rng, n) for _ in range(int(rng.integers(1, 6))))
+            sched = RoundSchedule(n=n, rounds=rounds)
+            y0 = rng.standard_normal(n)
+            avg = run_rounds(sched, y0).states
+            assert np.array_equal(avg, rounds_oracle(sched.rounds, y0, "pair_average"))
+            t_round = float(rng.uniform(0.1, 5.0))
+            exp = run_rounds(sched, y0, rule="exponential", t_round=t_round).states
+            assert np.allclose(exp, rounds_oracle(sched.rounds, y0, "exponential", t_round),
+                               rtol=1e-12, atol=1e-12)
+
+    def test_exponential_matches_oracle_on_overlapping_rounds(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(3, 13))
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            rounds = tuple(
+                tuple(pairs[k] for k in rng.choice(len(pairs), size=int(rng.integers(1, len(pairs) + 1)),
+                                                   replace=False))
+                for _ in range(int(rng.integers(1, 5))))
+            sched = RoundSchedule(n=n, rounds=rounds)
+            y0 = rng.standard_normal(n)
+            t_round = float(rng.uniform(0.1, 5.0))
+            exp = run_rounds(sched, y0, rule="exponential", t_round=t_round).states
+            assert np.allclose(exp, rounds_oracle(sched.rounds, y0, "exponential", t_round),
+                               rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("t_round", [np.nan, np.inf, 0.0, -5.0])
+    def test_t_round_validated(self, t_round):
+        sched = RoundSchedule(n=2, rounds=(((0, 1),),))
+        with pytest.raises(DomainError, match="t_round"):
+            run_rounds(sched, np.array([0.0, 1.0]), rule="exponential", t_round=t_round)
+
+    def test_unknown_rule_rejected(self):
+        sched = RoundSchedule(n=2, rounds=(((0, 1),),))
+        with pytest.raises(ValidationError, match="rule"):
+            run_rounds(sched, np.array([0.0, 1.0]), rule="gossip")
 
     def test_schedule_json_round_trip(self):
         sched = RoundSchedule(n=4, rounds=(((0, 1), (2, 3)), ((0, 2),)))
@@ -295,3 +380,31 @@ class TestMemoryExperiment:
         res = memory_experiment(reps=10, seed=1, cross_style="balanced")
         assert res.protocol["cross_style"] == "balanced"
         assert res.protocol["sd_convention"].startswith("population")
+
+    @pytest.mark.parametrize("style", sorted(CROSS_MATCHINGS))
+    def test_pair_average_matches_oracle_bit_for_bit(self, style):
+        # 1023, 1024 and 1025 replications straddle the edge of the first block
+        diffs = memory_differences_oracle(1025, 9, style, "pair_average")
+        for reps in (1023, 1024, 1025):
+            res = memory_experiment(reps=reps, seed=9, cross_style=style)
+            assert res.mean_sd_difference == float(diffs[:reps].mean())
+            assert res.mc_standard_error == float(diffs[:reps].std(ddof=1) / np.sqrt(reps))
+
+    @pytest.mark.parametrize("style", sorted(CROSS_MATCHINGS))
+    def test_exponential_matches_oracle(self, style):
+        diffs = memory_differences_oracle(40, 9, style, "exponential", t_round=0.7)
+        res = memory_experiment(reps=40, seed=9, cross_style=style, rule="exponential", t_round=0.7)
+        assert res.mean_sd_difference == pytest.approx(diffs.mean(), rel=1e-14, abs=0)
+        assert res.mc_standard_error == pytest.approx(diffs.std(ddof=1) / np.sqrt(40), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("rule,reps,solves", [("exponential", 5, 4), ("exponential", 2000, 4),
+                                                  ("pair_average", 2000, 0)])
+    def test_round_operators_built_once_per_call(self, monkeypatch, rule, reps, solves):
+        calls = counted_eigh(monkeypatch)
+        memory_experiment(reps=reps, seed=3, rule=rule)
+        assert len(calls) == solves
+
+    @pytest.mark.parametrize("t_round", [np.nan, np.inf, 0.0, -5.0])
+    def test_t_round_validated(self, t_round):
+        with pytest.raises(DomainError, match="t_round"):
+            memory_experiment(reps=50, seed=0, rule="exponential", t_round=t_round)
