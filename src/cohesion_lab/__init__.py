@@ -30,14 +30,11 @@ from .spectra import (
     BoundReport,
     LaplacianKind,
     Spectrum,
-    TradeoffMetrics,
     algebraic_connectivity,
     bound_report,
-    eigen_sym,
     fiedler_pair,
     laplacian,
     spectrum,
-    tradeoff_metrics,
 )
 from .dynamics import (
     MemoryExperimentResult,
@@ -51,7 +48,6 @@ from .dynamics import (
     run_rounds,
 )
 from .generators import (
-    RewireConfig,
     chord_midway,
     clique,
     clique_chain,
@@ -60,7 +56,6 @@ from .generators import (
     path,
     random_poisson,
     random_skewed,
-    relocate_chord,
     relocation_suite,
     rewire,
     ring_lattice,

@@ -10,6 +10,7 @@ import sys
 
 from .errors import CohesionError, DomainError, EdgeListParseError
 from .experiments import EXPERIMENTS, ExperimentConfig, inspect_spectra, run_experiment
+from .spectra import LaplacianKind, bound_report
 
 EXIT_OK = 0
 EXIT_TARGET_MISS = 1
@@ -55,7 +56,7 @@ def main(argv=None) -> int:
 
     p_spec = sub.add_parser("spectra", help="lambda2, spectrum CSV, and bound report for one graph")
     p_spec.add_argument("graph", help="edge-list file path or generator spec like 'clique:24'")
-    p_spec.add_argument("--kind", default="rownorm", choices=["binary", "rownorm", "symnorm"])
+    p_spec.add_argument("--kind", default="rownorm", choices=[k.value for k in LaplacianKind])
     p_spec.add_argument("--out", default=None)
     p_spec.add_argument("--no-bounds", action="store_true")
 
@@ -73,8 +74,6 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "spectra":
-            from .spectra import bound_report
-
             g, lam2, _csv_text = inspect_spectra(args.graph, args.kind, out_dir=args.out)
             print(f"lambda2 ({args.kind}): {lam2:.4f}")
             if not args.no_bounds:

@@ -9,7 +9,7 @@ import numpy as np
 from . import eigen
 from .errors import ConvergenceError, DomainError, ValidationError
 from .graphs import Graph, is_connected
-from .spectra import LaplacianKind, _adjacency_degrees, _symmetric_operator
+from .spectra import LaplacianKind, _adjacency_degrees, _symmetric_operator, laplacian
 
 
 @dataclass(frozen=True)
@@ -44,16 +44,6 @@ class Trajectory:
     def spread(self) -> np.ndarray:
         return self.states.max(axis=1) - self.states.min(axis=1)
 
-    def to_csv(self) -> str:
-        n = self.states.shape[1]
-        header = "t," + ",".join(f"y_{i}" for i in range(n)) + ",spread"
-        lines = [header]
-        sp = self.spread
-        for k, t in enumerate(self.times):
-            row = ",".join(repr(float(x)) for x in self.states[k])
-            lines.append(f"{float(t)!r},{row},{float(sp[k])!r}")
-        return "\n".join(lines) + "\n"
-
 
 def _position_vector(y0, n: int) -> np.ndarray:
     y = np.asarray(y0, dtype=float)
@@ -64,18 +54,16 @@ def _position_vector(y0, n: int) -> np.ndarray:
     return y
 
 
-def _spectral_solution(g: Graph, kind: LaplacianKind, y: np.ndarray, weighted=True,
-                       direction_policy="intersection"):
+def _spectral_solution(g: Graph, kind: LaplacianKind, y: np.ndarray, weighted=True):
     """Expand y in the eigenbasis once: returns (b, states_at).
 
     states_at(times) gives y_t = sum_k b_k exp(-lambda_k t) v_k as rows. The
     row-normalized operator goes through its symmetric similarity,
     exp(-Lrw t) = D^(-1/2) exp(-Lnor t) D^(1/2); other kinds use unit scaling.
     """
-    m = _symmetric_operator(g, kind, weighted=weighted, direction_policy=direction_policy)
-    w, v = eigen.eigh(m)
+    w, v = eigen.eigh(_symmetric_operator(g, kind, weighted))
     if kind is LaplacianKind.ROW_NORMALIZED:
-        scale = np.sqrt(_adjacency_degrees(g, kind, weighted, direction_policy)[1])
+        scale = np.sqrt(_adjacency_degrees(g, kind, weighted)[1])
     else:
         scale = np.ones(g.n)
     b = v.T @ (y * scale)
@@ -93,7 +81,6 @@ def diffuse_spectral(
     y0,
     times,
     weighted: bool = True,
-    direction_policy: str = "intersection",
 ) -> Trajectory:
     """Exact solution of dy/dt = -L y sampled at the given times.
 
@@ -105,10 +92,10 @@ def diffuse_spectral(
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValidationError("times must be a non-empty 1-D sequence")
-    if np.any(times < 0):
-        raise DomainError("times must be non-negative")
+    if not np.all(np.isfinite(times) & (times >= 0)):
+        raise DomainError("times must be finite and non-negative")
     y = _position_vector(y0, g.n)
-    b, states_at = _spectral_solution(g, kind, y, weighted, direction_policy)
+    b, states_at = _spectral_solution(g, kind, y, weighted)
     return Trajectory(
         times=times,
         states=states_at(times),
@@ -127,18 +114,15 @@ def diffuse_stepped(
     t_end: float,
     dt: float,
     weighted: bool = True,
-    direction_policy: str = "intersection",
 ) -> Trajectory:
     """Classic 4th-order Runge-Kutta integration of dy/dt = -S L y."""
     kind = LaplacianKind.parse(kind)
-    if dt <= 0 or t_end <= 0:
-        raise DomainError("t_end and dt must be positive")
+    if not (np.isfinite(dt) and dt > 0 and np.isfinite(t_end) and t_end > 0):
+        raise DomainError(f"t_end and dt must be finite and positive, got {t_end} and {dt}")
     if s.values.shape != (g.n,):
         raise ValidationError(f"susceptibility must have length {g.n}")
-    from .spectra import laplacian  # local import to avoid cycle at module load
-
-    lap = laplacian(g, kind, weighted=weighted, direction_policy=direction_policy)
-    sym = _symmetric_operator(g, kind, weighted=weighted, direction_policy=direction_policy)
+    lap = laplacian(g, kind, weighted=weighted)
+    sym = _symmetric_operator(g, kind, weighted=weighted)
     lam_max = float(eigen.eigvalsh(sym)[-1])
     s_max = float(s.values.max())
     bound = 2.0 / (s_max * lam_max) if s_max * lam_max > 0 else np.inf
@@ -249,13 +233,6 @@ class RoundSchedule:
     def is_matching(self, r: int) -> bool:
         nodes = [x for pair in self.rounds[r] for x in pair]
         return len(nodes) == len(set(nodes))
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "RoundSchedule":
-        return cls(n=int(obj["n"]), rounds=tuple(tuple(tuple(p) for p in rnd) for rnd in obj["rounds"]))
-
-    def to_json_obj(self):
-        return {"n": self.n, "rounds": [[list(p) for p in rnd] for rnd in self.rounds]}
 
 
 def _round_operator(pairs, n: int, rule: str, t_round: float) -> np.ndarray:

@@ -32,7 +32,6 @@ from .generators import (
     relocation_plan,
     relocation_suite,
     rewire,
-    RewireConfig,
     square_lattice,
     standard_graph,
     two_cliques_bridged,
@@ -68,9 +67,18 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        def int_at_least(value, low):
+            return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+        if not int_at_least(self.seed, 0):
+            raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
         # a standard error needs at least two replications
-        if self.reps is not None and not (isinstance(self.reps, int) and self.reps >= 2):
+        if self.reps is not None and not int_at_least(self.reps, 2):
             raise DomainError(f"reps must be an integer >= 2, got {self.reps!r}")
+        if not int_at_least(self.workers, 1):
+            raise DomainError(f"workers must be an integer >= 1, got {self.workers!r}")
+        if not isinstance(self.params, dict):
+            raise DomainError(f"params must be a JSON object, got {self.params!r}")
 
     @classmethod
     def from_json_file(cls, path: str, **overrides):
@@ -205,8 +213,7 @@ def _table1_sample(args):
     p, rep, master_seed = args
     g = clique_chain()
     if p != 0.0:
-        g = rewire(g, RewireConfig(p=p), seed=child_seed(master_seed, round(p * 1000), rep),
-                   groups=clique_chain_groups())
+        g = rewire(g, p, seed=child_seed(master_seed, round(p * 1000), rep), groups=clique_chain_groups())
     return (algebraic_connectivity(g, LaplacianKind.ROW_NORMALIZED), distance_summary(g).mean_distance,
             vertex_connectivity(g))
 

@@ -97,12 +97,7 @@ def standard_graph(spec_str: str) -> Graph:
 # the clustered coloring-experiment family
 # ---------------------------------------------------------------------------
 
-def clique_chain(
-    clusters: int = 6,
-    clique_size: int = 6,
-    closure: str = "chain",
-    ports: str = "shared",
-) -> Graph:
+def clique_chain(clusters: int = 6, clique_size: int = 6) -> Graph:
     """Dense clusters joined by single ties, one per consecutive cluster pair.
 
     The default (chain of six 6-cliques, one shared port node per cluster)
@@ -111,23 +106,11 @@ def clique_chain(
     """
     if clusters < 2 or clique_size < 2:
         raise DomainError("clique_chain needs clusters >= 2 and clique_size >= 2")
-    if ports == "distinct" and clique_size < 2:
-        raise DomainError("distinct ports need clique_size >= 2")
     edges = []
     for c in range(clusters):
         base = c * clique_size
         edges.extend((base + i, base + j) for i, j in combinations(range(clique_size), 2))
-    links = clusters if closure == "ring" else clusters - 1
-    if closure not in ("chain", "ring"):
-        raise DomainError(f"unknown closure {closure!r}")
-    for c in range(links):
-        nxt = (c + 1) % clusters
-        if ports == "shared":
-            edges.append((c * clique_size, nxt * clique_size))
-        elif ports == "distinct":
-            edges.append((c * clique_size + 1, nxt * clique_size))
-        else:
-            raise DomainError(f"unknown ports mode {ports!r}")
+    edges.extend((c * clique_size, (c + 1) * clique_size) for c in range(clusters - 1))
     return Graph.from_edges(clusters * clique_size, edges)
 
 
@@ -139,30 +122,6 @@ def clique_chain_groups(clusters: int = 6, clique_size: int = 6):
 # rewiring
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RewireConfig:
-    """Tie-relaying parameters.
-
-    p is the per-endpoint relaying probability: each end of an eligible tie
-    is independently moved to a uniformly random new node (the other end
-    stays anchored), never duplicating an existing tie. With node groups
-    given, only within-group ties are eligible and relocated ends land in a
-    different group. mode='pair' instead reselects whole ties with
-    probability p and re-attaches them to uniformly random non-adjacent
-    pairs.
-    """
-
-    p: float
-    max_retries: int = 200
-    mode: str = "endpoint"  # or "pair"
-
-    def __post_init__(self):
-        if not (0.0 <= self.p <= 1.0):
-            raise DomainError(f"rewiring probability must be in [0,1], got {self.p}")
-        if self.mode not in ("endpoint", "pair"):
-            raise DomainError(f"unknown rewire mode {self.mode!r}")
-
-
 def _group_of(groups):
     if groups is None:
         return None
@@ -173,18 +132,28 @@ def _group_of(groups):
     return gmap
 
 
-#: landing draws per candidate slot (n endpoints, or n*n ordered pairs); when a
-#: free landing exists, the budget runs out with probability below exp(-64)
+#: a relayed endpoint gets _LANDING_DRAWS * n draws for a landing node; when a
+#: free one exists, the budget runs out with probability below exp(-64)
 _LANDING_DRAWS = 64
+#: whole rewiring attempts before a connected result is given up on
+_REWIRE_ATTEMPTS = 200
 
 
-def rewire(g: Graph, cfg: RewireConfig, seed: int, groups=None) -> Graph:
+def rewire(g: Graph, p: float, seed: int, groups=None) -> Graph:
     """Randomly relay ties; the result keeps the edge count bit-exactly.
 
-    Constraint violations (disconnection) reject the whole attempt and
-    resample, up to cfg.max_retries. A tie with nowhere to land raises
-    ResourceBudgetError.
+    p is the per-endpoint relaying probability: each end of an eligible tie
+    is independently moved to a uniformly random new node (the other end
+    stays anchored), never duplicating an existing tie. With node groups
+    given, only within-group ties are eligible and relocated ends land in a
+    different group.
+
+    An attempt whose result is disconnected is rejected as a whole and
+    resampled, up to _REWIRE_ATTEMPTS times. A tie with nowhere to land
+    raises ResourceBudgetError.
     """
+    if not (0.0 <= p <= 1.0):
+        raise DomainError(f"rewiring probability must be in [0,1], got {p}")
     if not is_connected(g):
         raise DomainError("rewire expects a connected input graph")
     rng = np.random.default_rng(seed)
@@ -195,56 +164,36 @@ def rewire(g: Graph, cfg: RewireConfig, seed: int, groups=None) -> Graph:
     else:
         eligible = [(u, v) for u, v in all_edges if gmap[u] == gmap[v]]
 
-    for _attempt in range(cfg.max_retries):
+    for _attempt in range(_REWIRE_ATTEMPTS):
         edges = set(all_edges)
-        if cfg.mode == "endpoint":
-            for e in eligible:
-                if e not in edges:
+        for e in eligible:
+            if e not in edges:
+                continue
+            cur = e
+            for side in (0, 1):
+                if rng.random() >= p:
                     continue
-                cur = e
-                for side in (0, 1):
-                    if rng.random() >= cfg.p:
+                anchor = cur[1 - side]
+                edges.discard((min(cur), max(cur)))
+                for _draw in range(_LANDING_DRAWS * g.n):
+                    w = int(rng.integers(g.n))
+                    if w == anchor:
                         continue
-                    anchor = cur[1 - side]
-                    edges.discard((min(cur), max(cur)))
-                    for _draw in range(_LANDING_DRAWS * g.n):
-                        w = int(rng.integers(g.n))
-                        if w == anchor:
-                            continue
-                        if gmap is not None and gmap[w] == gmap[anchor]:
-                            continue
-                        cand = (min(anchor, w), max(anchor, w))
-                        if cand in edges:
-                            continue
-                        break
-                    else:
-                        raise ResourceBudgetError(f"rewire found no landing node for anchor {anchor}")
-                    edges.add(cand)
-                    cur = (anchor, w) if side == 1 else (w, anchor)
-        else:
-            for e in eligible:
-                if rng.random() >= cfg.p:
-                    continue
-                edges.discard(e)
-                for _draw in range(_LANDING_DRAWS * g.n * g.n):
-                    a = int(rng.integers(g.n))
-                    b = int(rng.integers(g.n))
-                    if a == b:
+                    if gmap is not None and gmap[w] == gmap[anchor]:
                         continue
-                    if gmap is not None and gmap[a] == gmap[b]:
-                        continue
-                    cand = (min(a, b), max(a, b))
+                    cand = (min(anchor, w), max(anchor, w))
                     if cand in edges:
                         continue
                     break
                 else:
-                    raise ResourceBudgetError("rewire found no free pair to land a tie on")
+                    raise ResourceBudgetError(f"rewire found no landing node for anchor {anchor}")
                 edges.add(cand)
+                cur = (anchor, w) if side == 1 else (w, anchor)
         out = Graph.from_edges(g.n, sorted(edges))
         assert out.m == g.m, "rewiring must preserve the edge count"
         if is_connected(out):
             return out
-    raise ResourceBudgetError(f"rewire exhausted {cfg.max_retries} attempts (p={cfg.p})")
+    raise ResourceBudgetError(f"rewire exhausted {_REWIRE_ATTEMPTS} attempts (p={p})")
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +201,8 @@ def rewire(g: Graph, cfg: RewireConfig, seed: int, groups=None) -> Graph:
 # ---------------------------------------------------------------------------
 
 _CONNECT_ATTEMPTS = 1000
+#: Pareto exponent of random_skewed's node weights
+_SKEW_EXPONENT = 2.5
 
 
 def _pairs_index(n: int):
@@ -273,16 +224,10 @@ def random_poisson(n: int, dens: float, seed: int) -> Graph:
     raise ResourceBudgetError(f"no connected sample in {_CONNECT_ATTEMPTS} draws")
 
 
-def random_skewed(
-    n: int,
-    dens: float,
-    seed: int,
-    exponent: float = 2.5,
-    min_expected_degree: float = 1.0,
-) -> Graph:
+def random_skewed(n: int, dens: float, seed: int) -> Graph:
     """Connected expected-degree graph with power-law weights and fixed edge count.
 
-    Node weights follow a Pareto law with the given exponent; m distinct
+    Node weights follow a Pareto law with exponent _SKEW_EXPONENT; m distinct
     pairs are drawn with probability proportional to w_i * w_j.
     """
     pairs = _pairs_index(n)
@@ -292,7 +237,7 @@ def random_skewed(
     rng = np.random.default_rng(seed)
     for _ in range(_CONNECT_ATTEMPTS):
         u = rng.random(n)
-        w = min_expected_degree * (1.0 - u) ** (-1.0 / (exponent - 1.0))
+        w = (1.0 - u) ** (-1.0 / (_SKEW_EXPONENT - 1.0))
         pw = np.array([w[i] * w[j] for i, j in pairs])
         pw /= pw.sum()
         idx = rng.choice(len(pairs), size=m, replace=False, p=pw)
@@ -393,7 +338,7 @@ def relocation_plan(g: Graph, min_cycle_len: int = 6) -> RelocationPlan:
     """
     girth = smallest_cycle(g)
     if girth is None:
-        raise DomainError("relocate_chord needs a cycle to borrow a tie from")
+        raise DomainError("relocation_plan needs a cycle to borrow a tie from")
     spec = spectrum(g, LaplacianKind.BINARY, weighted=False)
     v = spec.eigenvectors[:, 1]
     cyc = girth.nodes
@@ -469,25 +414,6 @@ def relocation_plan(g: Graph, min_cycle_len: int = 6) -> RelocationPlan:
         awkward_gain_first_order=gain_awk,
         gap_after_removal=gap_h,
     )
-
-
-def relocate_chord(g: Graph, placement: str = "midway", min_cycle_len: int = 6):
-    """Relay one smallest-cycle tie onto the longest chordless cycle.
-
-    placement 'midway' inserts where total distance is minimized (the
-    careful placement); 'awkward' inserts at the distance-maximizing
-    position instead. Returns (new_graph, plan); edge count is unchanged.
-    """
-    plan = relocation_plan(g, min_cycle_len=min_cycle_len)
-    h = g.with_edges_removed([plan.removed])
-    if placement == "midway":
-        out = h.with_edges_added([plan.midway_added])
-    elif placement == "awkward":
-        out = h.with_edges_added([plan.awkward_added])
-    else:
-        raise DomainError(f"unknown placement {placement!r}")
-    assert out.m == g.m, "relocation must preserve the edge count"
-    return out, plan
 
 
 # ---------------------------------------------------------------------------

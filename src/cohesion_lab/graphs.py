@@ -21,18 +21,15 @@ _CHORDLESS_SEARCH_MAX_STEPS = 5_000_000
 
 @dataclass(frozen=True)
 class Graph:
-    """A simple graph: no self-loops, positive weights, dense node indices.
-
-    Undirected graphs (the default) store each edge once with u < v; the
-    symmetry a_ij = a_ji is implied. Directed graphs store ordered pairs.
+    """A simple undirected graph: no self-loops, positive weights, dense node
+    indices. Each edge is stored once with u < v; a_ij = a_ji is implied.
     """
 
     n: int
-    edges: tuple  # tuple of (u, v, w); u < v when undirected
-    directed: bool = False
+    edges: tuple  # tuple of (u, v, w) with u < v
 
     @classmethod
-    def from_edges(cls, n: int, edges, directed: bool = False) -> "Graph":
+    def from_edges(cls, n: int, edges) -> "Graph":
         if n < 0:
             raise ValidationError(f"node count must be non-negative, got {n}")
         seen = {}
@@ -51,11 +48,11 @@ class Graph:
                 raise ValidationError(f"edge ({u},{v}) has non-finite weight {w}")
             if w <= 0.0:
                 raise ValidationError(f"edge ({u},{v}) has non-positive weight {w}")
-            key = (u, v) if directed else (min(u, v), max(u, v))
+            key = (min(u, v), max(u, v))
             if key in seen and seen[key] != w:
                 raise ValidationError(f"conflicting weights for edge {key}")
             seen[key] = w
-        return cls(n=n, edges=tuple(sorted((u, v, w) for (u, v), w in seen.items())), directed=directed)
+        return cls(n=n, edges=tuple(sorted((u, v, w) for (u, v), w in seen.items())))
 
     @property
     def m(self) -> int:
@@ -64,12 +61,11 @@ class Graph:
 
     @cached_property
     def adj(self) -> tuple:
-        """Per node, the sorted tuple of its neighbours (directed: out-neighbours)."""
+        """Per node, the sorted tuple of its neighbours."""
         out = [[] for _ in range(self.n)]
         for u, v, _w in self.edges:
             out[u].append(v)
-            if not self.directed:
-                out[v].append(u)
+            out[v].append(u)
         return tuple(tuple(sorted(a)) for a in out)
 
     @cached_property
@@ -87,28 +83,21 @@ class Graph:
         return v in self.adj_sets[u]
 
     def edge_set(self) -> set:
-        """Unweighted undirected edge set as {(u, v): u < v}."""
-        return {(u, v) for u, v, _ in self.edges} if not self.directed else {
-            (min(u, v), max(u, v)) for u, v, _ in self.edges
-        }
+        """Unweighted edge set as {(u, v): u < v}."""
+        return {(u, v) for u, v, _ in self.edges}
 
     def is_complete(self) -> bool:
-        return not self.directed and self.m == self.n * (self.n - 1) // 2
+        return self.m == self.n * (self.n - 1) // 2
 
     def with_edges_added(self, new_edges) -> "Graph":
-        return Graph.from_edges(self.n, list(self.edges) + [tuple(e) if len(e) == 3 else (*e, 1.0) for e in new_edges], self.directed)
+        return Graph.from_edges(self.n, list(self.edges) + [tuple(e) if len(e) == 3 else (*e, 1.0) for e in new_edges])
 
     def with_edges_removed(self, drop) -> "Graph":
         dropset = {(min(u, v), max(u, v)) for u, v in drop}
         kept = [(u, v, w) for u, v, w in self.edges if (min(u, v), max(u, v)) not in dropset]
         if len(kept) != self.m - len(dropset):
             raise ValidationError("edge to remove is not present")
-        return Graph.from_edges(self.n, kept, self.directed)
-
-
-def _require_undirected(g: Graph, op: str):
-    if g.directed:
-        raise DomainError(f"{op} is defined for undirected graphs only")
+        return Graph.from_edges(self.n, kept)
 
 
 @dataclass(frozen=True)
@@ -136,7 +125,7 @@ class Cycle:
 # edge-list I/O
 # ---------------------------------------------------------------------------
 
-def from_edge_list(text: str, directed: bool = False):
+def from_edge_list(text: str):
     """Parse whitespace-separated `u v [w]` lines into a Graph.
 
     Returns (graph, label_map) where label_map sends the original string
@@ -170,7 +159,7 @@ def from_edge_list(text: str, directed: bool = False):
             if lbl not in label_map:
                 label_map[lbl] = len(label_map)
         raw_edges.append((label_map[u_lbl], label_map[v_lbl], w))
-    g = Graph.from_edges(len(label_map), raw_edges, directed=directed)
+    g = Graph.from_edges(len(label_map), raw_edges)
     return g, label_map
 
 
@@ -195,8 +184,7 @@ def to_edge_list(g: Graph, label_map: dict = None) -> str:
 # ---------------------------------------------------------------------------
 
 def density(g: Graph) -> float:
-    """Existing-edge count over n(n-1)/2; unweighted, undirected."""
-    _require_undirected(g, "density")
+    """Existing-edge count over n(n-1)/2; unweighted."""
     if g.n < 2:
         raise DomainError("density needs at least 2 nodes")
     return g.m / (g.n * (g.n - 1) / 2)
@@ -204,7 +192,6 @@ def density(g: Graph) -> float:
 
 def connected_components(g: Graph):
     """Returns (count, labels) with labels[v] = 0-based component id."""
-    _require_undirected(g, "connected_components")
     labels = [-1] * g.n
     adj = g.adj
     count = 0
@@ -230,8 +217,8 @@ def is_connected(g: Graph) -> bool:
 def hop_distances(g: Graph) -> np.ndarray:
     """All-pairs hop distances as an n x n integer matrix; -1 where unreachable.
 
-    One breadth-first search per source over the cached neighbour tuples
-    (directed: along out-edges); edge weights are ignored.
+    One breadth-first search per source over the cached neighbour tuples;
+    edge weights are ignored.
     """
     adj = g.adj
     out = np.empty((g.n, g.n), dtype=np.int64)
@@ -255,7 +242,6 @@ def hop_distances(g: Graph) -> np.ndarray:
 
 def distance_summary(g: Graph) -> DistanceSummary:
     """Mean distance and diameter over all pairs (hop metric, weights ignored)."""
-    _require_undirected(g, "distance_summary")
     if g.n < 2:
         return DistanceSummary(mean_distance=0.0, diameter=0, finite=True)
     dist = hop_distances(g)
@@ -332,7 +318,6 @@ def vertex_connectivity(g: Graph) -> int:
     non-neighbor pair anchored at a minimum-degree node v, or contains v and
     then separates two non-adjacent neighbors of v.
     """
-    _require_undirected(g, "vertex_connectivity")
     if g.n < 2:
         raise DomainError("vertex_connectivity needs at least 2 nodes")
     if g.is_complete():
@@ -381,7 +366,6 @@ def _is_chordless(nodes, adj_sets):
 
 def smallest_cycle(g: Graph):
     """A girth cycle (ties: lexicographically smallest canonical sequence)."""
-    _require_undirected(g, "smallest_cycle")
     adj, adj_sets = g.adj, g.adj_sets
     # the first edge (in sorted order) with a common neighbour c closes the
     # smallest triangle: any earlier such edge would close a smaller one
@@ -423,7 +407,6 @@ def smallest_cycle(g: Graph):
 
 def chordless_cycles(g: Graph, min_len: int = 3):
     """Enumerate all chordless cycles of length >= min_len (n <= 40)."""
-    _require_undirected(g, "chordless_cycles")
     if g.n > CHORDLESS_SEARCH_MAX_NODES:
         raise ResourceBudgetError(
             f"chordless-cycle search is bounded to n <= {CHORDLESS_SEARCH_MAX_NODES}, got n = {g.n}"

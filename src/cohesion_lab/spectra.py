@@ -1,4 +1,4 @@
-"""Laplacian variants, spectra, algebraic connectivity, bounds, trade-off metrics.
+"""Laplacian variants, spectra, algebraic connectivity and its bounds.
 
 Three operators are supported for a graph with adjacency A and degree
 matrix D:
@@ -54,7 +54,7 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    kind: LaplacianKind = None
+    kind: LaplacianKind
 
     @property
     def n(self) -> int:
@@ -73,26 +73,13 @@ def adjacency_matrix(g: Graph, weighted: bool = True) -> np.ndarray:
     a = np.zeros((g.n, g.n))
     for u, v, w in g.edges:
         val = w if weighted else 1.0
-        a[u, v] = val
-        if not g.directed:
-            a[v, u] = val
+        a[u, v] = a[v, u] = val
     return a
 
 
-def symmetrize(a: np.ndarray, policy: str = "intersection") -> np.ndarray:
-    """Resolve one-directional ties: keep mutual ties only, or their union."""
-    if policy == "intersection":
-        return np.minimum(a, a.T)
-    if policy == "union":
-        return np.maximum(a, a.T)
-    raise DomainError(f"unknown direction policy {policy!r}")
-
-
-def _adjacency_degrees(g: Graph, kind: LaplacianKind, weighted=True, direction_policy="intersection"):
-    """Adjacency (directed inputs symmetrized) and degrees; normalized kinds need degree >= 1."""
+def _adjacency_degrees(g: Graph, kind: LaplacianKind, weighted=True):
+    """Adjacency and degrees; normalized kinds need degree >= 1."""
     a = adjacency_matrix(g, weighted=weighted)
-    if g.directed:
-        a = symmetrize(a, direction_policy)
     deg = a.sum(axis=1)
     if kind is not LaplacianKind.BINARY and np.any(deg <= 0):
         isolated = int(np.argmax(deg <= 0))
@@ -107,15 +94,10 @@ def _sym_normalized(a: np.ndarray, deg: np.ndarray) -> np.ndarray:
     return np.eye(deg.size) - (a * inv_sqrt[:, None]) * inv_sqrt[None, :]
 
 
-def laplacian(
-    g: Graph,
-    kind: LaplacianKind = LaplacianKind.BINARY,
-    weighted: bool = True,
-    direction_policy: str = "intersection",
-) -> np.ndarray:
-    """Build the requested Laplacian; directed inputs are symmetrized first."""
+def laplacian(g: Graph, kind: LaplacianKind = LaplacianKind.BINARY, weighted: bool = True) -> np.ndarray:
+    """Build the requested Laplacian."""
     kind = LaplacianKind.parse(kind)
-    a, deg = _adjacency_degrees(g, kind, weighted, direction_policy)
+    a, deg = _adjacency_degrees(g, kind, weighted)
     if kind is LaplacianKind.BINARY:
         return np.diag(deg) - a
     if kind is LaplacianKind.ROW_NORMALIZED:
@@ -123,34 +105,30 @@ def laplacian(
     return _sym_normalized(a, deg)
 
 
-def _symmetric_operator(g: Graph, kind: LaplacianKind, weighted=True, direction_policy="intersection"):
+def _symmetric_operator(g: Graph, kind: LaplacianKind, weighted=True):
     """The symmetric matrix whose spectrum equals laplacian(g, kind)'s."""
     if kind is LaplacianKind.ROW_NORMALIZED:
-        return _sym_normalized(*_adjacency_degrees(g, kind, weighted, direction_policy))
-    return laplacian(g, kind, weighted, direction_policy)
+        return _sym_normalized(*_adjacency_degrees(g, kind, weighted))
+    return laplacian(g, kind, weighted)
 
 
-def eigen_sym(m: np.ndarray, kind: LaplacianKind = None) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix (ascending order)."""
-    w, v = eigen.eigh(m)
+def spectrum(g: Graph, kind: LaplacianKind = LaplacianKind.BINARY, weighted: bool = True) -> Spectrum:
+    """Spectrum of the chosen Laplacian; row-normalized goes via the similarity."""
+    kind = LaplacianKind.parse(kind)
+    w, v = eigen.eigh(_symmetric_operator(g, kind, weighted))
     return Spectrum(eigenvalues=w, eigenvectors=v, kind=kind)
 
 
-def spectrum(g: Graph, kind: LaplacianKind = LaplacianKind.BINARY, **kw) -> Spectrum:
-    """Spectrum of the chosen Laplacian; row-normalized goes via the similarity."""
-    kind = LaplacianKind.parse(kind)
-    return eigen_sym(_symmetric_operator(g, kind, **kw), kind=kind)
-
-
-def algebraic_connectivity(g: Graph, kind: LaplacianKind = LaplacianKind.BINARY, **kw) -> float:
+def algebraic_connectivity(g: Graph, kind: LaplacianKind = LaplacianKind.BINARY,
+                           weighted: bool = True) -> float:
     """Second-smallest Laplacian eigenvalue; 0 for disconnected graphs."""
     kind = LaplacianKind.parse(kind)
-    w = eigen.eigvalsh(_symmetric_operator(g, kind, **kw))
+    w = eigen.eigvalsh(_symmetric_operator(g, kind, weighted))
     lam2 = float(w[1])
     return 0.0 if abs(lam2) < ZERO_EIGENVALUE_RTOL * max(float(w[-1]), 1.0) else lam2
 
 
-def fiedler_pair(g: Graph, kind: LaplacianKind = LaplacianKind.BINARY, **kw):
+def fiedler_pair(g: Graph, kind: LaplacianKind = LaplacianKind.BINARY, weighted: bool = True):
     """(lambda2, fiedler vector) of the chosen Laplacian.
 
     For the row-normalized operator the returned vector is the similarity
@@ -158,10 +136,10 @@ def fiedler_pair(g: Graph, kind: LaplacianKind = LaplacianKind.BINARY, **kw):
     eigenvector of the non-symmetric matrix.
     """
     kind = LaplacianKind.parse(kind)
-    spec = spectrum(g, kind, **kw)
+    spec = spectrum(g, kind, weighted)
     vec = spec.eigenvectors[:, 1].copy()
     if kind is LaplacianKind.ROW_NORMALIZED:
-        _a, deg = _adjacency_degrees(g, kind, **kw)
+        _a, deg = _adjacency_degrees(g, kind, weighted)
         vec = vec / np.sqrt(deg)
     return spec.lambda2, vec
 
@@ -225,81 +203,12 @@ def bound_report(g: Graph) -> BoundReport:
 
 
 # ---------------------------------------------------------------------------
-# propagator trade-off metrics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TradeoffMetrics:
-    """Diffusion-time trade-off diagnostics of the normalized propagator.
-
-    rho eigenvalues p_k = exp(-t lambda_k) / sum_j exp(-t lambda_j) form a
-    probability distribution; entropy is their Shannon/von Neumann entropy;
-    Z = Tr(exp(-L t)) / n (positive trace convention); F = -log(Z)/t measures
-    communication speed; Q and V are the exact time-derivatives of entropy
-    and F; eta = 1 - |Q|/V.
-    """
-
-    t: float
-    partition_function: float
-    entropy: float
-    communication_speed: float
-    entropy_rate: float
-    speed_rate: float
-    eta: float
-    rho_eigenvalues: tuple
-
-
-def tradeoff_metrics(g: Graph, kind: LaplacianKind, t: float, **kw) -> TradeoffMetrics:
-    if t <= 0:
-        raise DomainError("tradeoff_metrics requires t > 0")
-    if not is_connected(g):
-        raise DomainError("tradeoff_metrics requires a connected graph")
-    kind = LaplacianKind.parse(kind)
-    lam = eigen.eigvalsh(_symmetric_operator(g, kind, **kw))
-    shifted = lam - lam[0]
-    expw = np.exp(-t * shifted)
-    s = float(expw.sum())
-    p = expw / s
-    # absolute trace needs the unshifted eigenvalues
-    z = float(np.exp(-t * lam[0]) * s / g.n)
-    entropy = float(-(p * np.log(np.where(p > 0, p, 1.0))).sum())
-    f = -np.log(z) / t
-    mu = float((p * lam).sum())
-    var = float((p * (lam - mu) ** 2).sum())
-    q = -t * var           # d entropy / dt, from entropy = t*mu + log(S)
-    v = (mu - f) / t       # dF/dt, from t*F = log(n) - log(S)
-    if abs(v) < 1e-12:
-        raise DomainError(f"eta undefined: V = {v:.3e} vanishes at t = {t}")
-    eta = 1.0 - abs(q) / v
-    return TradeoffMetrics(
-        t=t,
-        partition_function=z,
-        entropy=entropy,
-        communication_speed=float(f),
-        entropy_rate=float(q),
-        speed_rate=float(v),
-        eta=float(eta),
-        rho_eigenvalues=tuple(float(x) for x in p),
-    )
-
-
-# ---------------------------------------------------------------------------
 # CSV export
 # ---------------------------------------------------------------------------
 
-def matrix_to_csv(m: np.ndarray, kind: LaplacianKind = None) -> str:
-    buf = io.StringIO()
-    label = kind.value if isinstance(kind, LaplacianKind) else (kind or "matrix")
-    buf.write(f"# kind={label} n={m.shape[0]}\n")
-    for row in np.asarray(m):
-        buf.write(",".join(repr(float(x)) for x in row) + "\n")
-    return buf.getvalue()
-
-
 def spectrum_to_csv(spec: Spectrum) -> str:
     buf = io.StringIO()
-    label = spec.kind.value if spec.kind else "matrix"
-    buf.write(f"# kind={label} n={spec.n}\n")
+    buf.write(f"# kind={spec.kind.value} n={spec.n}\n")
     buf.write("index,eigenvalue\n")
     for i, lam in enumerate(spec.eigenvalues):
         buf.write(f"{i},{float(lam)!r}\n")

@@ -111,10 +111,11 @@ class TestSpectralDiffusion:
         assert traj.states[1, 0] == pytest.approx(0.5, abs=1e-8)
         assert traj.states[1, 2] == pytest.approx(6.0, abs=1e-8)
 
-    def test_negative_times_rejected(self, rng):
-        g = random_connected_graph(rng, 5, 6)
-        with pytest.raises(DomainError):
-            diffuse_spectral(g, BIN, np.zeros(5), np.array([-1.0]))
+    @pytest.mark.parametrize("t", [-1.0, np.nan, np.inf])
+    def test_negative_or_non_finite_times_rejected(self, t):
+        # exp(-lambda * inf) on a rounding-level negative lambda_1 would give inf, not the mean
+        with pytest.raises(DomainError, match="finite and non-negative"):
+            diffuse_spectral(cycle(5), BIN, np.arange(5.0), np.array([1.0, t]))
 
 
 class TestSteppedDiffusion:
@@ -132,6 +133,11 @@ class TestSteppedDiffusion:
         s = Susceptibility.uniform(8)
         with pytest.raises(DomainError, match="stability"):
             diffuse_stepped(g, BIN, s, np.zeros(8), t_end=1.0, dt=10.0)
+
+    @pytest.mark.parametrize("t_end,dt", [(1.0, np.nan), (np.nan, 0.1), (np.inf, 0.1), (1.0, np.inf)])
+    def test_non_finite_t_end_or_dt_rejected(self, t_end, dt):
+        with pytest.raises(DomainError, match="finite"):
+            diffuse_stepped(cycle(5), BIN, Susceptibility.uniform(5), np.arange(5.0), t_end=t_end, dt=dt)
 
     def test_stubborn_node_barely_moves(self, rng):
         g = random_connected_graph(rng, 8, 14)
@@ -302,11 +308,6 @@ class TestRounds:
         sched = RoundSchedule(n=2, rounds=(((0, 1),),))
         with pytest.raises(ValidationError, match="rule"):
             run_rounds(sched, np.array([0.0, 1.0]), rule="gossip")
-
-    def test_schedule_json_round_trip(self):
-        sched = RoundSchedule(n=4, rounds=(((0, 1), (2, 3)), ((0, 2),)))
-        again = RoundSchedule.from_json_obj(sched.to_json_obj())
-        assert again == sched
 
     def test_duplicate_pair_rejected(self):
         with pytest.raises(ValidationError):

@@ -226,7 +226,12 @@ class TestCliExperiments:
 
     @pytest.mark.parametrize("body,named", [({"experiment": "appendix", "repz": 500}, "repz"),
                                             ([500], "JSON object"),
-                                            ({"experiment": "fig4b", "kind": "symnorm"}, "kind")])
+                                            ({"experiment": "fig4b", "kind": "symnorm"}, "kind"),
+                                            ({"experiment": "appendix", "seed": "abc"}, "seed"),
+                                            ({"experiment": "appendix", "seed": 1.5}, "seed"),
+                                            ({"experiment": "appendix", "seed": True}, "seed"),
+                                            ({"experiment": "table1", "workers": "two"}, "workers"),
+                                            ({"experiment": "appendix", "params": [1]}, "params must be")])
     def test_config_file_with_unknown_key_or_no_object_exits_3_with_one_line(
             self, tmp_path, capsys, body, named):
         cfg = tmp_path / "cfg.json"
@@ -241,11 +246,16 @@ class TestCliExperiments:
         assert main(["appendix", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.count("\n") == 1
 
-    @pytest.mark.parametrize("command,reps", [("table1", "0"), ("appendix", "1")])
-    def test_reps_below_two_exits_3_with_one_line(self, capsys, command, reps):
-        assert main([command, "--reps", reps]) == 3
+    @pytest.mark.parametrize("argv,named", [(["table1", "--reps", "0"], "reps"),
+                                            (["appendix", "--reps", "1"], "reps"),
+                                            (["figures", "fig1", "--seed", "-1"], "seed"),
+                                            (["table1", "--workers", "0"], "workers")])
+    def test_bad_reps_seed_or_workers_flag_exits_3_with_one_line(self, monkeypatch, capsys, argv, named):
+        # a config that passed validation would fail as an unknown experiment, before any work
+        monkeypatch.setattr(experiments, "EXPERIMENTS", {})
+        assert main(argv) == 3
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "reps" in err
+        assert err.count("\n") == 1 and named in err
 
 
 class TestSeedDerivation:

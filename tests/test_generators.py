@@ -1,13 +1,14 @@
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohesion_lab import generators
 from cohesion_lab.errors import DomainError, ResourceBudgetError
 from cohesion_lab.generators import (
-    RewireConfig,
     chord_midway,
     clique,
     clique_chain,
@@ -16,7 +17,6 @@ from cohesion_lab.generators import (
     path,
     random_poisson,
     random_skewed,
-    relocate_chord,
     relocation_plan,
     relocation_suite,
     rewire,
@@ -81,80 +81,65 @@ class TestCliqueChain:
         flat = [v for grp in groups for v in grp]
         assert sorted(flat) == list(range(36))
 
-    def test_ring_closure_edge_count(self):
-        g = clique_chain(closure="ring")
-        assert g.m == 96
-        # a shared port stays a cut vertex even on a ring
-        assert vertex_connectivity(g) == 1
-        assert vertex_connectivity(clique_chain(closure="ring", ports="distinct")) == 2
-
-    def test_distinct_ports(self):
-        g = clique_chain(ports="distinct")
-        assert g.m == 95
-        # out-port and in-port differ inside each middle clique
-        assert g.has_edge(1, 6) and g.has_edge(7, 12)
-
 
 class TestRewire:
     def test_p_zero_identity(self):
         base = clique_chain()
-        out = rewire(base, RewireConfig(p=0.0), seed=5, groups=clique_chain_groups())
+        out = rewire(base, 0.0, seed=5, groups=clique_chain_groups())
         assert out.edges == base.edges
 
     def test_edge_count_and_connectivity_preserved(self):
         base = clique_chain()
         for seed in range(5):
-            out = rewire(base, RewireConfig(p=0.6), seed=seed, groups=clique_chain_groups())
+            out = rewire(base, 0.6, seed=seed, groups=clique_chain_groups())
             assert out.m == base.m
             assert is_connected(out)
 
     def test_deterministic_given_seed(self):
         base = clique_chain()
-        a = rewire(base, RewireConfig(p=0.4), seed=9, groups=clique_chain_groups())
-        b = rewire(base, RewireConfig(p=0.4), seed=9, groups=clique_chain_groups())
+        a = rewire(base, 0.4, seed=9, groups=clique_chain_groups())
+        b = rewire(base, 0.4, seed=9, groups=clique_chain_groups())
         assert a.edges == b.edges
 
     def test_groups_route_ties_between_clusters(self):
         base = clique_chain()
         groups = clique_chain_groups()
         gmap = {v: i for i, grp in enumerate(groups) for v in grp}
-        out = rewire(base, RewireConfig(p=1.0), seed=3, groups=groups)
+        out = rewire(base, 1.0, seed=3, groups=groups)
         base_inter = sum(1 for u, v, _ in base.edges if gmap[u] != gmap[v])
         out_inter = sum(1 for u, v, _ in out.edges if gmap[u] != gmap[v])
         assert out_inter > base_inter
 
-    def test_pair_mode(self):
-        base = cycle(12)
-        out = rewire(base, RewireConfig(p=0.5, mode="pair"), seed=2)
-        assert out.m == base.m and is_connected(out)
-
-    @pytest.mark.parametrize("mode", ["endpoint", "pair"])
-    def test_no_landing_node_raises_instead_of_hanging(self, mode):
+    def test_no_landing_node_raises_instead_of_hanging(self):
         # every cross-group tie of K4 with groups {0,1,2},{3} already exists
         start = time.perf_counter()
         with pytest.raises(ResourceBudgetError, match="land"):
-            rewire(clique(4), RewireConfig(p=1.0, mode=mode), seed=0, groups=[[0, 1, 2], [3]])
+            rewire(clique(4), 1.0, seed=0, groups=[[0, 1, 2], [3]])
         assert time.perf_counter() - start < 1.0
 
-    def test_retry_budget(self):
+    def test_retry_budget(self, monkeypatch):
+        monkeypatch.setattr(generators, "_REWIRE_ATTEMPTS", 0)
         with pytest.raises(ResourceBudgetError):
-            rewire(cycle(8), RewireConfig(p=1.0, max_retries=0), seed=1)
+            rewire(cycle(8), 1.0, seed=1)
 
     def test_disconnected_input_rejected(self):
         from cohesion_lab.graphs import Graph
 
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(DomainError):
-            rewire(g, RewireConfig(p=0.1), seed=0)
+            rewire(g, 0.1, seed=0)
 
     @given(st.floats(min_value=-2.0, max_value=2.0))
     @settings(max_examples=20, deadline=None)
     def test_probability_validated(self, p):
+        base = clique_chain()
         if 0.0 <= p <= 1.0:
-            RewireConfig(p=p)
+            assert rewire(base, p, seed=0, groups=clique_chain_groups()).m == base.m
         else:
-            with pytest.raises(DomainError):
-                RewireConfig(p=p)
+            # rejected before the random stream is even created
+            with mock.patch.object(generators.np.random, "default_rng", side_effect=AssertionError), \
+                    pytest.raises(DomainError, match="probability"):
+                rewire(base, p, seed=0, groups=clique_chain_groups())
 
 
 class TestRandomFamilies:
@@ -229,19 +214,26 @@ class TestChords:
         with pytest.raises(DomainError):
             chord_midway(5)
 
+    @staticmethod
+    def _moved(g):
+        """(plan, midway graph, awkward graph), built from one plan as fig5 does."""
+        plan = relocation_plan(g)
+        cut = g.with_edges_removed([plan.removed])
+        return plan, *(cut.with_edges_added([pair]) for pair in (plan.midway_added, plan.awkward_added))
+
     def test_relocate_needs_a_cycle(self):
-        with pytest.raises(DomainError):
-            relocate_chord(path(8))
+        with pytest.raises(DomainError, match="relocation_plan needs a cycle"):
+            relocation_plan(path(8))
 
     def test_relocate_needs_long_chordless_cycle(self):
         with pytest.raises(DomainError):
-            relocate_chord(clique(4))
+            relocation_plan(clique(4))
 
     def test_relocation_preserves_density_and_connectivity(self):
         suite = relocation_suite(count=4, seed=99)
         for g in suite:
-            for placement in ("midway", "awkward"):
-                out, plan = relocate_chord(g, placement)
+            plan, *moved = self._moved(g)
+            for out in moved:
                 assert out.m == g.m
                 assert is_connected(out)
                 assert plan.removed not in out.edge_set()
@@ -250,8 +242,7 @@ class TestChords:
         suite = relocation_suite(count=6, seed=123)
         for g in suite:
             lam0 = algebraic_connectivity(g, BIN)
-            mid, _ = relocate_chord(g, "midway")
-            awk, _ = relocate_chord(g, "awkward")
+            _plan, mid, awk = self._moved(g)
             assert algebraic_connectivity(mid, BIN) > lam0
             assert algebraic_connectivity(awk, BIN) < lam0
 

@@ -11,7 +11,6 @@ from cohesion_lab.errors import (
     ValidationError,
 )
 from cohesion_lab.generators import (
-    RewireConfig,
     clique,
     clique_chain,
     clique_chain_groups,
@@ -207,7 +206,7 @@ class TestVertexConnectivity:
         base, groups = clique_chain(3, 4), clique_chain_groups(3, 4)
         for p in (0.2, 0.4, 0.6):
             for seed in range(8):
-                g = rewire(base, RewireConfig(p=p), seed=seed, groups=groups)
+                g = rewire(base, p, seed=seed, groups=groups)
                 assert vertex_connectivity(g) == brute_vertex_connectivity(g)
 
     def test_whitney_inequality(self, rng):
