@@ -15,6 +15,7 @@ from cohesion_lab.experiments import (
 )
 from cohesion_lab.graphs import to_edge_list
 from cohesion_lab.generators import clique_chain
+from cohesion_lab.spectra import LaplacianKind, algebraic_connectivity
 
 
 class TestTargetsFile:
@@ -40,6 +41,12 @@ class TestCliSpectra:
         assert main(["spectra", "ring_lattice:24:4", "--kind", "rownorm"]) == 0
         out = capsys.readouterr().out
         assert "0.0840" in out
+
+    @pytest.mark.parametrize("kind", list(LaplacianKind), ids=lambda k: k.value)
+    def test_every_laplacian_kind_is_a_kind_choice(self, capsys, kind):
+        assert main(["spectra", "ring_lattice:24:4", "--kind", kind.value, "--no-bounds"]) == 0
+        lam2 = algebraic_connectivity(load_graph("ring_lattice:24:4"), kind)
+        assert capsys.readouterr().out == f"lambda2 ({kind.value}): {lam2:.4f}\n"
 
     def test_edge_list_file_input(self, tmp_path, capsys):
         path = tmp_path / "g.edges"
