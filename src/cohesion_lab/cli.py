@@ -74,7 +74,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "spectra":
-            g, lam2, _csv_text = inspect_spectra(args.graph, args.kind, out_dir=args.out)
+            g, lam2, _csv_text = inspect_spectra(args.graph, LaplacianKind(args.kind), out_dir=args.out)
             print(f"lambda2 ({args.kind}): {lam2:.4f}")
             if not args.no_bounds:
                 brep = bound_report(g)  # DomainError (exit 3) when disconnected

@@ -9,7 +9,7 @@ import numpy as np
 from . import eigen
 from .errors import ConvergenceError, DomainError, ValidationError
 from .graphs import Graph, is_connected
-from .spectra import LaplacianKind, _adjacency_degrees, _symmetric_operator, laplacian
+from .spectra import LaplacianKind, laplacian, symmetric_form
 
 
 @dataclass(frozen=True)
@@ -54,23 +54,20 @@ def _position_vector(y0, n: int) -> np.ndarray:
     return y
 
 
-def _spectral_solution(g: Graph, kind: LaplacianKind, y: np.ndarray, weighted=True):
+def _spectral_solution(g: Graph, kind: LaplacianKind, y: np.ndarray):
     """Expand y in the eigenbasis once: returns (b, states_at).
 
-    states_at(times) gives y_t = sum_k b_k exp(-lambda_k t) v_k as rows. The
-    row-normalized operator goes through its symmetric similarity,
-    exp(-Lrw t) = D^(-1/2) exp(-Lnor t) D^(1/2); other kinds use unit scaling.
+    states_at(times) gives y_t = sum_k b_k exp(-lambda_k t) v_k as rows,
+    through the symmetric form: exp(-L t) = D^(-1/2) exp(-S t) D^(1/2) with
+    (S, D^(1/2)) from symmetric_form.
     """
-    w, v = eigen.eigh(_symmetric_operator(g, kind, weighted))
-    if kind is LaplacianKind.ROW_NORMALIZED:
-        scale = np.sqrt(_adjacency_degrees(g, kind, weighted)[1])
-    else:
-        scale = np.ones(g.n)
-    b = v.T @ (y * scale)
+    s, d = symmetric_form(g, kind)
+    w, v = eigen.eigh(s)
+    b = v.T @ (y * d)
 
     def states_at(times: np.ndarray) -> np.ndarray:
         decay = np.exp(-np.outer(times, w))  # (T, n)
-        return (decay * b[None, :] @ v.T) / scale[None, :]
+        return (decay * b[None, :] @ v.T) / d[None, :]
 
     return b, states_at
 
@@ -80,7 +77,6 @@ def diffuse_spectral(
     kind: LaplacianKind,
     y0,
     times,
-    weighted: bool = True,
 ) -> Trajectory:
     """Exact solution of dy/dt = -L y sampled at the given times.
 
@@ -88,14 +84,13 @@ def diffuse_spectral(
     exp(-lambda_k t) v_k; disconnected graphs are allowed and settle to
     per-component equilibria (flagged in the result).
     """
-    kind = LaplacianKind.parse(kind)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValidationError("times must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(times) & (times >= 0)):
         raise DomainError("times must be finite and non-negative")
     y = _position_vector(y0, g.n)
-    b, states_at = _spectral_solution(g, kind, y, weighted)
+    b, states_at = _spectral_solution(g, kind, y)
     return Trajectory(
         times=times,
         states=states_at(times),
@@ -113,17 +108,13 @@ def diffuse_stepped(
     y0,
     t_end: float,
     dt: float,
-    weighted: bool = True,
 ) -> Trajectory:
     """Classic 4th-order Runge-Kutta integration of dy/dt = -S L y."""
-    kind = LaplacianKind.parse(kind)
     if not (np.isfinite(dt) and dt > 0 and np.isfinite(t_end) and t_end > 0):
         raise DomainError(f"t_end and dt must be finite and positive, got {t_end} and {dt}")
     if s.values.shape != (g.n,):
         raise ValidationError(f"susceptibility must have length {g.n}")
-    lap = laplacian(g, kind, weighted=weighted)
-    sym = _symmetric_operator(g, kind, weighted=weighted)
-    lam_max = float(eigen.eigvalsh(sym)[-1])
+    lam_max = float(eigen.eigvalsh(symmetric_form(g, kind)[0])[-1])
     s_max = float(s.values.max())
     bound = 2.0 / (s_max * lam_max) if s_max * lam_max > 0 else np.inf
     if dt >= bound:
@@ -134,7 +125,7 @@ def diffuse_stepped(
     y = _position_vector(y0, g.n)
     n_steps = max(1, int(np.ceil(t_end / dt - 1e-12)))
     h = t_end / n_steps
-    m = -(s.values[:, None] * lap)
+    m = -(s.values[:, None] * laplacian(g, kind))
     times = np.linspace(0.0, t_end, n_steps + 1)
     states = np.empty((n_steps + 1, g.n))
     states[0] = y
@@ -164,7 +155,6 @@ def convergence_time(
     solution; the graph is decomposed once. epsilon and tol must be finite and > 0."""
     if not (np.isfinite(epsilon) and epsilon > 0 and np.isfinite(tol) and tol > 0):
         raise DomainError(f"epsilon and tol must be finite and positive, got {epsilon} and {tol}")
-    kind = LaplacianKind.parse(kind)
     if not is_connected(g):
         raise DomainError("convergence_time requires a connected graph")
     y = _position_vector(y0, g.n)
@@ -248,16 +238,13 @@ def _round_operator(pairs, n: int, rule: str, t_round: float) -> np.ndarray:
         raise ValidationError(f"unknown round rule {rule!r}")
     if not (np.isfinite(t_round) and t_round > 0):
         raise DomainError(f"t_round must be finite and positive, got {t_round}")
-    a = np.zeros((n, n))
-    for u, v in pairs:
-        a[u, v] = a[v, u] = 1.0
-    idx = np.flatnonzero(a.any(axis=1))
-    if idx.size:
-        sub = a[np.ix_(idx, idx)]
-        sqrt_deg = np.sqrt(sub.sum(axis=1))
-        inv_sqrt = 1.0 / sqrt_deg
-        w, v = eigen.eigh(np.eye(idx.size) - (sub * inv_sqrt[:, None]) * inv_sqrt[None, :])
-        op[np.ix_(idx, idx)] = inv_sqrt[:, None] * ((v * np.exp(-t_round * w)) @ v.T) * sqrt_deg[None, :]
+    idx = sorted({u for pair in pairs for u in pair})  # the round's active nodes
+    if idx:
+        pos = {u: i for i, u in enumerate(idx)}
+        sub = Graph.from_edges(len(idx), [(pos[u], pos[v]) for u, v in pairs])
+        s, d = symmetric_form(sub, LaplacianKind.ROW_NORMALIZED)
+        w, v = eigen.eigh(s)
+        op[np.ix_(idx, idx)] = (1 / d)[:, None] * ((v * np.exp(-t_round * w)) @ v.T) * d[None, :]
     return op
 
 

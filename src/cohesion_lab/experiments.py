@@ -79,6 +79,10 @@ class ExperimentConfig:
             raise DomainError(f"workers must be an integer >= 1, got {self.workers!r}")
         if not isinstance(self.params, dict):
             raise DomainError(f"params must be a JSON object, got {self.params!r}")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise DomainError(f"out_dir must be a path string, got {self.out_dir!r}")
+        if not isinstance(self.svg, bool):
+            raise DomainError(f"svg must be true or false, got {self.svg!r}")
 
     @classmethod
     def from_json_file(cls, path: str, **overrides):
@@ -539,12 +543,11 @@ def load_graph(graph_source: str) -> Graph:
     return standard_graph(graph_source)
 
 
-def inspect_spectra(graph_source: str, kind: str, out_dir: str = None):
+def inspect_spectra(graph_source: str, kind: LaplacianKind, out_dir: str = None):
     """Summarize one graph's spectrum; returns (graph, lambda2, spectrum CSV)."""
     g = load_graph(graph_source)
-    k = LaplacianKind.parse(kind)
-    lam2 = algebraic_connectivity(g, k)
-    spec = spectrum(g, k)
+    lam2 = algebraic_connectivity(g, kind)
+    spec = spectrum(g, kind)
     csv_text = spectrum_to_csv(spec)
     if out_dir:
         _write(out_dir, "spectrum.csv", csv_text)

@@ -325,6 +325,22 @@ def _totals_with(dist: np.ndarray, pairs: list) -> np.ndarray:
     return np.minimum(dist, via, out=via).sum(axis=(1, 2))
 
 
+def _pick_pair(h: Graph, dist_h: np.ndarray, pairs: list, best) -> tuple:
+    """(pair, total) for the tie in `pairs` whose addition to h gives the `best`
+    (min or max) total distance; dist_h is h's hop-distance matrix. Ties go to
+    the other extreme of lambda2, so the closest pick is the most cohesive and
+    the farthest the least, and then to the smallest pair."""
+    totals = _totals_with(dist_h, pairs).tolist()
+    total = best(totals)
+    tied = [pair for pair, tot in zip(pairs, totals) if tot == total]
+    if len(tied) > 1:
+        lam = {pair: algebraic_connectivity(h.with_edges_added([pair]), LaplacianKind.BINARY)
+               for pair in tied}
+        top = (max if best is min else min)(lam.values())
+        tied = [pair for pair in tied if lam[pair] == top]
+    return min(tied), total
+
+
 def relocation_plan(g: Graph, min_cycle_len: int = 6) -> RelocationPlan:
     """Choose the tie to remove and both candidate re-insertions.
 
@@ -334,12 +350,13 @@ def relocation_plan(g: Graph, min_cycle_len: int = 6) -> RelocationPlan:
     halving the longest chordless cycle that minimizes total distance (ties:
     larger lambda2, then smallest pair). Awkward insertion: the non-adjacent
     pair maximizing total distance (ties: smaller lambda2, then smallest
-    pair). The removed position itself is never re-used.
+    pair). The removed position itself is never re-used. Edge weights are
+    read as given; every graph the suite samples has unit weights.
     """
     girth = smallest_cycle(g)
     if girth is None:
         raise DomainError("relocation_plan needs a cycle to borrow a tie from")
-    spec = spectrum(g, LaplacianKind.BINARY, weighted=False)
+    spec = spectrum(g, LaplacianKind.BINARY)
     v = spec.eigenvectors[:, 1]
     cyc = girth.nodes
     cyc_edges = sorted(
@@ -352,7 +369,7 @@ def relocation_plan(g: Graph, min_cycle_len: int = 6) -> RelocationPlan:
     target = longest_chordless_cycle(h, min_len=min_cycle_len)
     if target is None:
         raise DomainError(f"no chordless cycle of length >= {min_cycle_len} after removal")
-    spec_h = spectrum(h, LaplacianKind.BINARY, weighted=False)
+    spec_h = spectrum(h, LaplacianKind.BINARY)
     vh = spec_h.eigenvectors[:, 1]
     loss = spec.lambda2 - spec_h.lambda2
     gap_h = float(spec_h.eigenvalues[2] - spec_h.eigenvalues[1])
@@ -371,33 +388,13 @@ def relocation_plan(g: Graph, min_cycle_len: int = 6) -> RelocationPlan:
     if not midway:
         raise DomainError("no midway chord position is available")
     midway = sorted(midway)
-    mid_totals = _totals_with(dist_h, midway)
-    best_total = int(mid_totals.min())
-    tied = [pair for pair, tot in zip(midway, mid_totals) if tot == best_total]
-    if len(tied) > 1:
-        lam = {
-            pair: algebraic_connectivity(h.with_edges_added([pair]), LaplacianKind.BINARY, weighted=False)
-            for pair in tied
-        }
-        top = max(lam.values())
-        tied = [pair for pair in tied if lam[pair] == top]
-    midway_pick = min(tied)
+    midway_pick, best_total = _pick_pair(h, dist_h, midway, min)
 
     free = [(a, b) for a in range(g.n) for b in range(a + 1, g.n)
             if not h.has_edge(a, b) and (a, b) != removed]
     if not free:
         raise DomainError("no awkward placement is available")
-    free_totals = _totals_with(dist_h, free)
-    worst_total = int(free_totals.max())
-    ties_w = [pair for pair, tot in zip(free, free_totals) if tot == worst_total]
-    if len(ties_w) > 1:
-        lam = {
-            pair: algebraic_connectivity(h.with_edges_added([pair]), LaplacianKind.BINARY, weighted=False)
-            for pair in ties_w
-        }
-        bottom = min(lam.values())
-        ties_w = [pair for pair in ties_w if lam[pair] == bottom]
-    worst_pick = min(ties_w)
+    worst_pick, worst_total = _pick_pair(h, dist_h, free, max)
 
     gain_mid = float((vh[midway_pick[0]] - vh[midway_pick[1]]) ** 2)
     gain_awk = float((vh[worst_pick[0]] - vh[worst_pick[1]]) ** 2)
@@ -443,7 +440,7 @@ def _qualifies(g: Graph) -> bool:
     girth = smallest_cycle(g)
     if girth is None or girth.length != 3:
         return False
-    spec = spectrum(g, LaplacianKind.BINARY, weighted=False)
+    spec = spectrum(g, LaplacianKind.BINARY)
     lam = spec.eigenvalues
     if lam[2] - lam[1] < SUITE_MIN_GAP or lam[1] > SUITE_MAX_LAMBDA2:
         return False

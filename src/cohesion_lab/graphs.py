@@ -111,10 +111,10 @@ class DistanceSummary:
 
 @dataclass(frozen=True)
 class Cycle:
-    """A cycle as a canonical node sequence (closure first->last implied)."""
+    """A chordless cycle as a canonical node sequence (closure first->last
+    implied). A girth cycle is chordless too: a chord would close a shorter one."""
 
     nodes: tuple
-    chordless: bool
 
     @property
     def length(self) -> int:
@@ -353,17 +353,6 @@ def _canonical_cycle(nodes):
     return min(fwd, bwd)
 
 
-def _is_chordless(nodes, adj_sets):
-    k = len(nodes)
-    for i in range(k):
-        for j in range(i + 2, k):
-            if i == 0 and j == k - 1:
-                continue
-            if nodes[j] in adj_sets[nodes[i]]:
-                return False
-    return True
-
-
 def smallest_cycle(g: Graph):
     """A girth cycle (ties: lexicographically smallest canonical sequence)."""
     adj, adj_sets = g.adj, g.adj_sets
@@ -372,7 +361,7 @@ def smallest_cycle(g: Graph):
     for u, v, _w in g.edges:
         common = adj_sets[u] & adj_sets[v]
         if common:
-            return Cycle(nodes=(u, v, min(common)), chordless=True)
+            return Cycle(nodes=(u, v, min(common)))
     best = None
     for u, v, _w in g.edges:
         # shortest u-v path avoiding the edge itself closes a shortest cycle;
@@ -402,7 +391,7 @@ def smallest_cycle(g: Graph):
             best = nodes
     if best is None:
         return None
-    return Cycle(nodes=best, chordless=_is_chordless(best, adj_sets))
+    return Cycle(nodes=best)
 
 
 def chordless_cycles(g: Graph, min_len: int = 3):
@@ -448,7 +437,7 @@ def chordless_cycles(g: Graph, min_len: int = 3):
     out = []
     for nodes in found:
         if len(nodes) >= min_len:
-            out.append(Cycle(nodes=_canonical_cycle(nodes), chordless=True))
+            out.append(Cycle(nodes=_canonical_cycle(nodes)))
     out.sort(key=lambda c: (c.length, c.nodes))
     return out
 

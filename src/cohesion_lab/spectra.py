@@ -9,7 +9,10 @@ matrix D:
 
 Lrw is similar to Lnor (Lrw = D^(-1/2) Lnor D^(1/2)), so its spectrum is
 computed through the symmetric form; the non-symmetric matrix never reaches
-the eigensolver.
+the eigensolver. `symmetric_form` is the one route from a graph and a kind to
+an operator: it returns the symmetric matrix and the D^(1/2) scaling (ones
+for binary and sym_normalized) that every spectrum, Fiedler vector and
+diffusion solution in the package is built from.
 """
 
 import enum
@@ -29,23 +32,6 @@ class LaplacianKind(enum.Enum):
     BINARY = "binary"
     ROW_NORMALIZED = "rownorm"
     SYM_NORMALIZED = "symnorm"
-
-    @classmethod
-    def parse(cls, name) -> "LaplacianKind":
-        """The kind named by `name`; a LaplacianKind is returned unchanged."""
-        if isinstance(name, cls):
-            return name
-        aliases = {
-            "binary": cls.BINARY,
-            "rownorm": cls.ROW_NORMALIZED,
-            "row_normalized": cls.ROW_NORMALIZED,
-            "symnorm": cls.SYM_NORMALIZED,
-            "sym_normalized": cls.SYM_NORMALIZED,
-        }
-        try:
-            return aliases[name.lower()]
-        except KeyError:
-            raise DomainError(f"unknown laplacian kind {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -69,17 +55,13 @@ class Spectrum:
         return int(np.sum(np.abs(self.eigenvalues) < ZERO_EIGENVALUE_RTOL * scale))
 
 
-def adjacency_matrix(g: Graph, weighted: bool = True) -> np.ndarray:
+def _adjacency_degrees(g: Graph, kind: LaplacianKind):
+    """Adjacency and degrees; normalized kinds need degree >= 1."""
+    if not isinstance(kind, LaplacianKind):
+        raise DomainError(f"unknown laplacian kind {kind!r}")
     a = np.zeros((g.n, g.n))
     for u, v, w in g.edges:
-        val = w if weighted else 1.0
-        a[u, v] = a[v, u] = val
-    return a
-
-
-def _adjacency_degrees(g: Graph, kind: LaplacianKind, weighted=True):
-    """Adjacency and degrees; normalized kinds need degree >= 1."""
-    a = adjacency_matrix(g, weighted=weighted)
+        a[u, v] = a[v, u] = w
     deg = a.sum(axis=1)
     if kind is not LaplacianKind.BINARY and np.any(deg <= 0):
         isolated = int(np.argmax(deg <= 0))
@@ -89,59 +71,53 @@ def _adjacency_degrees(g: Graph, kind: LaplacianKind, weighted=True):
     return a, deg
 
 
-def _sym_normalized(a: np.ndarray, deg: np.ndarray) -> np.ndarray:
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    return np.eye(deg.size) - (a * inv_sqrt[:, None]) * inv_sqrt[None, :]
+def symmetric_form(g: Graph, kind: LaplacianKind):
+    """(s, d) with s symmetric and laplacian(g, kind) = diag(d)^-1 s diag(d).
 
-
-def laplacian(g: Graph, kind: LaplacianKind = LaplacianKind.BINARY, weighted: bool = True) -> np.ndarray:
-    """Build the requested Laplacian."""
-    kind = LaplacianKind.parse(kind)
-    a, deg = _adjacency_degrees(g, kind, weighted)
+    s is L for binary and Lnor for both normalized kinds; d is sqrt(degree)
+    for row_normalized and ones otherwise. A kind that is not a LaplacianKind
+    member raises DomainError.
+    """
+    a, deg = _adjacency_degrees(g, kind)
     if kind is LaplacianKind.BINARY:
-        return np.diag(deg) - a
+        return np.diag(deg) - a, np.ones(g.n)
+    sqrt_deg = np.sqrt(deg)
+    inv_sqrt = 1.0 / sqrt_deg
+    s = np.eye(g.n) - (a * inv_sqrt[:, None]) * inv_sqrt[None, :]
+    return s, sqrt_deg if kind is LaplacianKind.ROW_NORMALIZED else np.ones(g.n)
+
+
+def laplacian(g: Graph, kind: LaplacianKind = LaplacianKind.BINARY) -> np.ndarray:
+    """Build the requested Laplacian."""
     if kind is LaplacianKind.ROW_NORMALIZED:
+        a, deg = _adjacency_degrees(g, kind)
         return np.eye(g.n) - a / deg[:, None]
-    return _sym_normalized(a, deg)
+    return symmetric_form(g, kind)[0]
 
 
-def _symmetric_operator(g: Graph, kind: LaplacianKind, weighted=True):
-    """The symmetric matrix whose spectrum equals laplacian(g, kind)'s."""
-    if kind is LaplacianKind.ROW_NORMALIZED:
-        return _sym_normalized(*_adjacency_degrees(g, kind, weighted))
-    return laplacian(g, kind, weighted)
-
-
-def spectrum(g: Graph, kind: LaplacianKind = LaplacianKind.BINARY, weighted: bool = True) -> Spectrum:
+def spectrum(g: Graph, kind: LaplacianKind = LaplacianKind.BINARY) -> Spectrum:
     """Spectrum of the chosen Laplacian; row-normalized goes via the similarity."""
-    kind = LaplacianKind.parse(kind)
-    w, v = eigen.eigh(_symmetric_operator(g, kind, weighted))
+    w, v = eigen.eigh(symmetric_form(g, kind)[0])
     return Spectrum(eigenvalues=w, eigenvectors=v, kind=kind)
 
 
-def algebraic_connectivity(g: Graph, kind: LaplacianKind = LaplacianKind.BINARY,
-                           weighted: bool = True) -> float:
+def algebraic_connectivity(g: Graph, kind: LaplacianKind = LaplacianKind.BINARY) -> float:
     """Second-smallest Laplacian eigenvalue; 0 for disconnected graphs."""
-    kind = LaplacianKind.parse(kind)
-    w = eigen.eigvalsh(_symmetric_operator(g, kind, weighted))
+    w = eigen.eigvalsh(symmetric_form(g, kind)[0])
     lam2 = float(w[1])
     return 0.0 if abs(lam2) < ZERO_EIGENVALUE_RTOL * max(float(w[-1]), 1.0) else lam2
 
 
-def fiedler_pair(g: Graph, kind: LaplacianKind = LaplacianKind.BINARY, weighted: bool = True):
+def fiedler_pair(g: Graph, kind: LaplacianKind = LaplacianKind.BINARY):
     """(lambda2, fiedler vector) of the chosen Laplacian.
 
     For the row-normalized operator the returned vector is the similarity
     image v = D^(-1/2) u of the symmetric eigenvector u, i.e. an actual
     eigenvector of the non-symmetric matrix.
     """
-    kind = LaplacianKind.parse(kind)
-    spec = spectrum(g, kind, weighted)
-    vec = spec.eigenvectors[:, 1].copy()
-    if kind is LaplacianKind.ROW_NORMALIZED:
-        _a, deg = _adjacency_degrees(g, kind, weighted)
-        vec = vec / np.sqrt(deg)
-    return spec.lambda2, vec
+    s, d = symmetric_form(g, kind)
+    w, v = eigen.eigh(s)
+    return float(w[1]), v[:, 1] / d
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +147,14 @@ _BOUND_SLACK = 1e-9
 def bound_report(g: Graph) -> BoundReport:
     """Evaluate the distance and connectivity bounds on a connected graph.
 
-    Uses the unweighted (0/1) adjacency: the bound theory is stated for
-    symmetric binary matrices.
+    Uses the unweighted (0/1) adjacency whatever the edge weights: the bound
+    theory is stated for symmetric binary matrices.
     """
     if not is_connected(g):
         raise DomainError("bound_report requires a connected graph")
     if g.n < 2:
         raise DomainError("bound_report needs at least 2 nodes")
-    lam2 = algebraic_connectivity(g, LaplacianKind.BINARY, weighted=False)
+    lam2 = algebraic_connectivity(Graph.from_edges(g.n, g.edge_set()), LaplacianKind.BINARY)
     ds = distance_summary(g)
     eq5 = 2.0 / ((g.n - 1) * ds.mean_distance - 0.5 * (g.n - 2))
     diam = 4.0 / (g.n * ds.diameter)

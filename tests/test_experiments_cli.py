@@ -238,7 +238,9 @@ class TestCliExperiments:
                                             ({"experiment": "appendix", "seed": 1.5}, "seed"),
                                             ({"experiment": "appendix", "seed": True}, "seed"),
                                             ({"experiment": "table1", "workers": "two"}, "workers"),
-                                            ({"experiment": "appendix", "params": [1]}, "params must be")])
+                                            ({"experiment": "appendix", "params": [1]}, "params must be"),
+                                            ({"experiment": "fig4d", "out_dir": 5}, "out_dir"),
+                                            ({"experiment": "fig4d", "svg": "no"}, "svg")])
     def test_config_file_with_unknown_key_or_no_object_exits_3_with_one_line(
             self, tmp_path, capsys, body, named):
         cfg = tmp_path / "cfg.json"

@@ -262,7 +262,7 @@ class TestChords:
         assert plan.total_distance_awkward == max(totals.values())
         # ties on the maximum go to the smallest lambda2, then the smallest pair
         tied = [p for p in free if totals[p] == plan.total_distance_awkward]
-        lam = {p: algebraic_connectivity(h.with_edges_added([p]), BIN, weighted=False) for p in tied}
+        lam = {p: algebraic_connectivity(h.with_edges_added([p]), BIN) for p in tied}
         assert plan.awkward_added == min(p for p in tied if lam[p] == min(lam.values()))
         return plan, tied
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cohesion_lab.dynamics import Susceptibility, convergence_time, diffuse_spectral, diffuse_stepped
 from cohesion_lab.errors import DomainError
 from cohesion_lab.generators import clique, cycle, path, ring_lattice, star
 from cohesion_lab.graphs import Graph, connected_components
@@ -20,18 +21,22 @@ ROW = LaplacianKind.ROW_NORMALIZED
 SYM = LaplacianKind.SYM_NORMALIZED
 
 
-class TestKindParse:
-    def test_enum_passes_through(self):
-        for kind in LaplacianKind:
-            assert LaplacianKind.parse(kind) is kind
-
-    def test_names_and_aliases(self):
-        assert LaplacianKind.parse("RowNorm") is ROW
-        assert LaplacianKind.parse("sym_normalized") is SYM
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(DomainError, match="unknown laplacian kind 'adjacency'"):
-            LaplacianKind.parse("adjacency")
+class TestKindMembers:
+    @pytest.mark.parametrize("name", ["rownorm", "adjacency"])
+    @pytest.mark.parametrize("call", [
+        lambda g, k: laplacian(g, k),
+        lambda g, k: spectrum(g, k),
+        lambda g, k: algebraic_connectivity(g, k),
+        lambda g, k: fiedler_pair(g, k),
+        lambda g, k: diffuse_spectral(g, k, np.arange(5.0), [0.0, 1.0]),
+        lambda g, k: diffuse_stepped(g, k, Susceptibility.uniform(5), np.arange(5.0), 1.0, 0.1),
+        lambda g, k: convergence_time(g, k, np.arange(5.0), 1e-3),
+    ], ids=["laplacian", "spectrum", "algebraic_connectivity", "fiedler_pair",
+            "diffuse_spectral", "diffuse_stepped", "convergence_time"])
+    def test_unknown_name_raises(self, name, call):
+        # a name is not a kind: strings are rejected, not read as the closest kind
+        with pytest.raises(DomainError, match=f"unknown laplacian kind '{name}'"):
+            call(cycle(5), name)
 
 
 class TestLaplacianConstruction:
@@ -60,7 +65,7 @@ class TestLaplacianConstruction:
         # rownorm is solved through its symmetric similarity, yet the message
         # names the kind the caller asked for
         with pytest.raises(DomainError, match="^rownorm laplacian .* node 2 is isolated"):
-            algebraic_connectivity(g, "rownorm")
+            algebraic_connectivity(g, ROW)
         laplacian(g, BIN)  # fine
 
     def test_weights_enter_degrees(self):
@@ -143,7 +148,7 @@ class TestAlgebraicConnectivity:
             n = int(rng.integers(4, 14))
             m = int(rng.integers(n - 2, n * (n - 1) // 2 + 1))
             g = random_graph(rng, n, m)
-            spec = spectrum(g, BIN, weighted=False)
+            spec = spectrum(g, BIN)
             assert spec.zero_multiplicity() == connected_components(g)[0]
 
 
@@ -165,6 +170,12 @@ class TestBoundReport:
     def test_disconnected_rejected(self):
         with pytest.raises(DomainError):
             bound_report(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+    def test_edge_weights_are_ignored(self):
+        unit = cycle(6)
+        weighted = Graph.from_edges(6, [(0, 1, 2.5)] + [(u, v) for u, v, _ in unit.edges[1:]])
+        assert weighted.edges[0] == (0, 1, 2.5)
+        assert bound_report(weighted) == bound_report(unit)
 
     def test_random_graphs_satisfy_all_bounds(self, rng):
         for _ in range(30):
