@@ -17,7 +17,6 @@ from .graphs import (
     DistanceSummary,
     Graph,
     connected_components,
-    density,
     distance_summary,
     from_edge_list,
     is_connected,
@@ -32,18 +31,13 @@ from .spectra import (
     Spectrum,
     algebraic_connectivity,
     bound_report,
-    fiedler_pair,
     laplacian,
     spectrum,
 )
 from .dynamics import (
     MemoryExperimentResult,
-    RoundSchedule,
-    Susceptibility,
-    Trajectory,
     convergence_time,
     diffuse_spectral,
-    diffuse_stepped,
     memory_experiment,
     run_rounds,
 )

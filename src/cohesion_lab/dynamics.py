@@ -1,5 +1,5 @@
-"""Diffusion dynamics: exact spectral solutions, stepped integration,
-convergence timing, and round-based switching-topology protocols.
+"""Diffusion dynamics: the exact spectral solution and convergence time that
+Fig. 1 reads, and the round protocols of the appendix memory experiment.
 """
 
 from dataclasses import dataclass, field
@@ -9,40 +9,7 @@ import numpy as np
 from . import eigen
 from .errors import ConvergenceError, DomainError, ValidationError
 from .graphs import Graph, is_connected
-from .spectra import LaplacianKind, laplacian, symmetric_form
-
-
-@dataclass(frozen=True)
-class Susceptibility:
-    """Positive diagonal susceptibilities s_ii."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if np.any(v <= 0) or not np.all(np.isfinite(v)):
-            raise ValidationError("susceptibilities must be positive and finite")
-
-    @classmethod
-    def uniform(cls, n: int, value: float = 1.0) -> "Susceptibility":
-        return cls(values=np.full(n, float(value)))
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Sampled positions y_t: row k of states is y at times[k]."""
-
-    times: np.ndarray
-    states: np.ndarray
-    method: str
-    kind: LaplacianKind = None
-    coefficients: np.ndarray = None
-    connected: bool = True
-
-    @property
-    def spread(self) -> np.ndarray:
-        return self.states.max(axis=1) - self.states.min(axis=1)
+from .spectra import LaplacianKind, symmetric_form
 
 
 def _position_vector(y0, n: int) -> np.ndarray:
@@ -55,7 +22,7 @@ def _position_vector(y0, n: int) -> np.ndarray:
 
 
 def _spectral_solution(g: Graph, kind: LaplacianKind, y: np.ndarray):
-    """Expand y in the eigenbasis once: returns (b, states_at).
+    """Expand y in the eigenbasis once: returns states_at.
 
     states_at(times) gives y_t = sum_k b_k exp(-lambda_k t) v_k as rows,
     through the symmetric form: exp(-L t) = D^(-1/2) exp(-S t) D^(1/2) with
@@ -69,74 +36,22 @@ def _spectral_solution(g: Graph, kind: LaplacianKind, y: np.ndarray):
         decay = np.exp(-np.outer(times, w))  # (T, n)
         return (decay * b[None, :] @ v.T) / d[None, :]
 
-    return b, states_at
+    return states_at
 
 
-def diffuse_spectral(
-    g: Graph,
-    kind: LaplacianKind,
-    y0,
-    times,
-) -> Trajectory:
-    """Exact solution of dy/dt = -L y sampled at the given times.
+def diffuse_spectral(g: Graph, kind: LaplacianKind, y0, times) -> np.ndarray:
+    """Exact solution of dy/dt = -L y; row k of the result is y at times[k].
 
     The position vector is expanded in the eigenbasis, y_t = sum_k b_k
     exp(-lambda_k t) v_k; disconnected graphs are allowed and settle to
-    per-component equilibria (flagged in the result).
+    per-component equilibria.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValidationError("times must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(times) & (times >= 0)):
         raise DomainError("times must be finite and non-negative")
-    y = _position_vector(y0, g.n)
-    b, states_at = _spectral_solution(g, kind, y)
-    return Trajectory(
-        times=times,
-        states=states_at(times),
-        method="spectral",
-        kind=kind,
-        coefficients=b,
-        connected=is_connected(g),
-    )
-
-
-def diffuse_stepped(
-    g: Graph,
-    kind: LaplacianKind,
-    s: Susceptibility,
-    y0,
-    t_end: float,
-    dt: float,
-) -> Trajectory:
-    """Classic 4th-order Runge-Kutta integration of dy/dt = -S L y."""
-    if not (np.isfinite(dt) and dt > 0 and np.isfinite(t_end) and t_end > 0):
-        raise DomainError(f"t_end and dt must be finite and positive, got {t_end} and {dt}")
-    if s.values.shape != (g.n,):
-        raise ValidationError(f"susceptibility must have length {g.n}")
-    lam_max = float(eigen.eigvalsh(symmetric_form(g, kind)[0])[-1])
-    s_max = float(s.values.max())
-    bound = 2.0 / (s_max * lam_max) if s_max * lam_max > 0 else np.inf
-    if dt >= bound:
-        raise DomainError(
-            f"step dt = {dt} violates the stability bound dt < {bound:.6g} "
-            f"(= 2 / (max s_ii * lambda_max))"
-        )
-    y = _position_vector(y0, g.n)
-    n_steps = max(1, int(np.ceil(t_end / dt - 1e-12)))
-    h = t_end / n_steps
-    m = -(s.values[:, None] * laplacian(g, kind))
-    times = np.linspace(0.0, t_end, n_steps + 1)
-    states = np.empty((n_steps + 1, g.n))
-    states[0] = y
-    for k in range(n_steps):
-        k1 = m @ y
-        k2 = m @ (y + 0.5 * h * k1)
-        k3 = m @ (y + 0.5 * h * k2)
-        k4 = m @ (y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        states[k + 1] = y
-    return Trajectory(times=times, states=states, method="stepped", kind=kind, connected=is_connected(g))
+    return _spectral_solution(g, kind, _position_vector(y0, g.n))(times)
 
 
 def spread_of(y) -> float:
@@ -161,7 +76,7 @@ def convergence_time(
     if spread_of(y) <= epsilon:
         raise DomainError(f"spread(y0) = {spread_of(y):.6g} does not exceed epsilon = {epsilon}")
 
-    _b, states_at = _spectral_solution(g, kind, y)
+    states_at = _spectral_solution(g, kind, y)
 
     def spread_at(t: float) -> float:
         return spread_of(states_at(np.array([t]))[0])
@@ -191,83 +106,62 @@ def convergence_time(
 # round-based protocols
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RoundSchedule:
-    """Ordered interaction rounds on n nodes; each round is an edge list.
-
-    A round that is a matching (disjoint pairs) supports the exact
-    pair-average rule; arbitrary subgraphs require the exponential rule.
-    """
-
-    n: int
-    rounds: tuple
-
-    def __post_init__(self):
-        norm = []
-        for r, pairs in enumerate(self.rounds):
-            seen_pairs = []
-            for (u, v) in pairs:
-                u, v = int(u), int(v)
-                if u == v:
-                    raise ValidationError(f"round {r}: self-pair at node {u}")
-                if not (0 <= u < self.n and 0 <= v < self.n):
-                    raise ValidationError(f"round {r}: node out of range in pair ({u},{v})")
-                seen_pairs.append((min(u, v), max(u, v)))
-            if len(set(seen_pairs)) != len(seen_pairs):
-                raise ValidationError(f"round {r}: duplicate pair")
-            norm.append(tuple(sorted(seen_pairs)))
-        object.__setattr__(self, "rounds", tuple(norm))
-        if not self.rounds:
-            raise ValidationError("schedule must contain at least one round")
-
-    def is_matching(self, r: int) -> bool:
-        nodes = [x for pair in self.rounds[r] for x in pair]
-        return len(nodes) == len(set(nodes))
-
-
 def _round_operator(pairs, n: int, rule: str, t_round: float) -> np.ndarray:
     """The round as an n x n matrix op, y -> op @ y; nodes without round ties keep
-    their value. 'pair_average' puts a 1/2 block on each matched pair; 'exponential'
-    is D^(-1/2) V exp(-t W) V^T D^(1/2) on the round's Lnor = V W V^T (not symmetric)."""
+    their value. 'pair_average' puts a 1/2 block on each pair of a matching;
+    'exponential' is D^(-1/2) V exp(-t W) V^T D^(1/2) on the round's
+    Lnor = V W V^T (not symmetric), for any set of distinct pairs."""
+    if rule not in ("pair_average", "exponential"):
+        raise ValidationError(f"unknown round rule {rule!r}")
+    seen = set()
+    for pair in pairs:
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                and all(isinstance(x, (int, np.integer)) for x in pair)):
+            raise ValidationError(f"round entry {pair!r} is not a pair of integer node ids")
+        u, v = pair
+        if u == v:
+            raise ValidationError(f"self-pair at node {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValidationError(f"node out of range 0..{n - 1} in pair ({u},{v})")
+        if (min(u, v), max(u, v)) in seen:
+            raise ValidationError(f"duplicate pair ({u},{v})")
+        seen.add((min(u, v), max(u, v)))
+    nodes = [u for pair in seen for u in pair]
     op = np.eye(n)
     if rule == "pair_average":
-        for u, v in pairs:
+        if len(set(nodes)) != len(nodes):
+            raise ValidationError("overlapping pairs; pair_average needs a matching")
+        for u, v in seen:
             op[np.ix_((u, v), (u, v))] = 0.5
         return op
-    if rule != "exponential":
-        raise ValidationError(f"unknown round rule {rule!r}")
     if not (np.isfinite(t_round) and t_round > 0):
         raise DomainError(f"t_round must be finite and positive, got {t_round}")
-    idx = sorted({u for pair in pairs for u in pair})  # the round's active nodes
+    idx = sorted(set(nodes))  # the round's active nodes
     if idx:
         pos = {u: i for i, u in enumerate(idx)}
-        sub = Graph.from_edges(len(idx), [(pos[u], pos[v]) for u, v in pairs])
+        sub = Graph.from_edges(len(idx), [(pos[u], pos[v]) for u, v in seen])
         s, d = symmetric_form(sub, LaplacianKind.ROW_NORMALIZED)
         w, v = eigen.eigh(s)
         op[np.ix_(idx, idx)] = (1 / d)[:, None] * ((v * np.exp(-t_round * w)) @ v.T) * d[None, :]
     return op
 
 
-def run_rounds(schedule: RoundSchedule, y0, rule="pair_average", t_round: float = 1.0) -> Trajectory:
-    """Apply the schedule round by round; row k of the result is y after round k.
+def run_rounds(rounds, y0, rule="pair_average", t_round: float = 1.0) -> np.ndarray:
+    """Apply the rounds in order; row k of the result is y after round k (row 0 is y0).
 
-    rule 'pair_average' replaces both members of each matched pair by their
-    mean (the long-time limit of pairwise diffusion) and requires every round
-    to be a matching; rule 'exponential' diffuses for a finite t_round > 0 on
-    each round's subgraph Laplacian. Each round is applied as one n x n operator.
+    Each round is a tuple of (u, v) pairs on the len(y0) nodes. Rule
+    'pair_average' replaces both members of each pair by their mean (the
+    long-time limit of pairwise diffusion) and needs every round to be a
+    matching; rule 'exponential' diffuses for a finite t_round > 0 on each
+    round's subgraph Laplacian. Each round is applied as one n x n operator.
     """
-    y = _position_vector(y0, schedule.n)
+    y = _position_vector(y0, np.size(y0))
+    if not rounds:
+        raise ValidationError("a schedule needs at least one round")
     states = [y]
-    for r, pairs in enumerate(schedule.rounds):
-        if rule == "pair_average" and not schedule.is_matching(r):
-            raise ValidationError(f"round {r} has overlapping pairs; pair_average needs a matching")
-        states.append(_round_operator(pairs, schedule.n, rule, t_round) @ states[-1])
-    return Trajectory(
-        times=np.arange(len(states), dtype=float),
-        states=np.array(states),
-        method=f"rounds:{rule}",
-        connected=True,
-    )
+    for pairs in rounds:
+        states.append(_round_operator(pairs, y.size, rule, t_round) @ states[-1])
+    return np.array(states)
 
 
 # ---------------------------------------------------------------------------
@@ -303,24 +197,13 @@ def within_cluster_rounds():
 
 
 def memory_schedules(cross_style: str = "cluster_pairing"):
-    """(treatment1, treatment2): cross-cluster round first vs last."""
+    """(treatment1, treatment2) as tuples of rounds: cross-cluster round first vs last."""
     try:
         cross = CROSS_MATCHINGS[cross_style]
     except KeyError:
         raise DomainError(f"unknown cross-matching style {cross_style!r}") from None
     within = within_cluster_rounds()
-    t1 = RoundSchedule(n=_N_MEMORY, rounds=(cross,) + within)
-    t2 = RoundSchedule(n=_N_MEMORY, rounds=within + (cross,))
-    return t1, t2
-
-
-def four_cluster_graph() -> Graph:
-    """Union of all ties the memory protocol ever activates."""
-    edges = set()
-    for sched in memory_schedules():
-        for rnd in sched.rounds:
-            edges.update(rnd)
-    return Graph.from_edges(_N_MEMORY, sorted(edges))
+    return (cross,) + within, within + (cross,)
 
 
 def rep_rng(master_seed: int, rep_index: int) -> np.random.Generator:
@@ -362,7 +245,7 @@ def memory_experiment(
     if reps < 1:
         raise DomainError("reps must be >= 1")
     t1, t2 = memory_schedules(cross_style)
-    ops = {pairs: _round_operator(pairs, _N_MEMORY, rule, t_round).T for pairs in set(t1.rounds)}
+    ops = {pairs: _round_operator(pairs, _N_MEMORY, rule, t_round).T for pairs in set(t1)}
 
     def score(y: np.ndarray, rounds) -> np.ndarray:
         total = np.zeros(len(y))
@@ -377,7 +260,7 @@ def memory_experiment(
         block = y0[: min(_REP_BLOCK, reps - start)]
         for i in range(len(block)):
             block[i] = rep_rng(seed, start + i).integers(0, 2, size=_N_MEMORY)
-        diffs[start:start + len(block)] = score(block, t2.rounds) - score(block, t1.rounds)
+        diffs[start:start + len(block)] = score(block, t2) - score(block, t1)
     se = float(diffs.std(ddof=1) / np.sqrt(reps)) if reps > 1 else float("nan")
     return MemoryExperimentResult(
         mean_sd_difference=float(diffs.mean()),

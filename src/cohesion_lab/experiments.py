@@ -56,6 +56,18 @@ def child_seed(*parts) -> int:
     return int(np.random.SeedSequence(tuple(int(p) for p in parts)).generate_state(1, dtype=np.uint64)[0])
 
 
+def _int_at_least(value, low) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+def _int_param(config, name: str, default, low: int) -> int:
+    """params[name], or default when it is absent; it must be an integer >= low."""
+    value = config.params.get(name, default)
+    if not _int_at_least(value, low):
+        raise DomainError(f"{config.experiment} {name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -67,15 +79,12 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        def int_at_least(value, low):
-            return isinstance(value, int) and not isinstance(value, bool) and value >= low
-
-        if not int_at_least(self.seed, 0):
+        if not _int_at_least(self.seed, 0):
             raise DomainError(f"seed must be a non-negative integer, got {self.seed!r}")
         # a standard error needs at least two replications
-        if self.reps is not None and not int_at_least(self.reps, 2):
+        if self.reps is not None and not _int_at_least(self.reps, 2):
             raise DomainError(f"reps must be an integer >= 2, got {self.reps!r}")
-        if not int_at_least(self.workers, 1):
+        if not _int_at_least(self.workers, 1):
             raise DomainError(f"workers must be an integer >= 1, got {self.workers!r}")
         if not isinstance(self.params, dict):
             raise DomainError(f"params must be a JSON object, got {self.params!r}")
@@ -224,7 +233,13 @@ def _table1_sample(args):
 
 def table1(config: ExperimentConfig, targets: dict, default_reps: int = 1000) -> Outcome:
     reps = default_reps if config.reps is None else config.reps
-    p_values = config.params.get("p_values", targets["p_values"])
+    grid = targets["p_values"]
+    p_values = config.params.get("p_values", grid)
+    # each p reads its published targets, so only the published grid is accepted
+    if not (isinstance(p_values, list) and p_values and all(p in grid for p in p_values)
+            and len(set(p_values)) == len(p_values)):
+        raise DomainError(f"table1 p_values must be a non-empty list of distinct values from {grid}, "
+                          f"got {p_values!r}")
     cells = {"p": [], "time_seconds": [], "myopic_seconds": []}
     cells.update({f"{m}_{s}": [] for m in _TABLE1_METRICS for s in ("mean", "se")})
     comparisons = []
@@ -276,9 +291,15 @@ def table1(config: ExperimentConfig, targets: dict, default_reps: int = 1000) ->
 # ---------------------------------------------------------------------------
 
 def fig1(config: ExperimentConfig, targets: dict) -> Outcome:
-    n = config.params.get("n", 14)
-    m = config.params.get("m", 26)
-    pool_size = config.params.get("pool", 40)
+    n = _int_param(config, "n", 14, 2)
+    m = _int_param(config, "m", 26, n - 1)
+    # two distinct graphs are compared, so a pool of one, or the complete graph, says nothing
+    pool_size = _int_param(config, "pool", 40, 2)
+    if m >= n * (n - 1) // 2:
+        raise DomainError(f"fig1 m must be below n(n-1)/2 = {n * (n - 1) // 2}, got {m}")
+    t_end = config.params.get("t_end", 12.0)
+    if isinstance(t_end, bool) or not isinstance(t_end, (int, float)) or not 0 < t_end < math.inf:
+        raise DomainError(f"fig1 t_end must be a finite number > 0, got {t_end!r}")
     dens = m / (n * (n - 1) / 2)
     samples = [random_poisson(n, dens, child_seed(config.seed, i)) for i in range(pool_size)]
     lams = [algebraic_connectivity(g, LaplacianKind.ROW_NORMALIZED) for g in samples]
@@ -286,9 +307,10 @@ def fig1(config: ExperimentConfig, targets: dict) -> Outcome:
     lo = samples[int(np.argmin(lams))]
     lam_hi, lam_lo = max(lams), min(lams)
     y0 = rep_rng(config.seed, 0).standard_normal(n)
-    times = np.linspace(0.0, config.params.get("t_end", 12.0), 60)
-    tr_hi = diffuse_spectral(hi, LaplacianKind.ROW_NORMALIZED, y0, times)
-    tr_lo = diffuse_spectral(lo, LaplacianKind.ROW_NORMALIZED, y0, times)
+    times = np.linspace(0.0, t_end, 60)
+    states_hi, states_lo = (diffuse_spectral(g, LaplacianKind.ROW_NORMALIZED, y0, times) for g in (hi, lo))
+    spread_hi = states_hi.max(axis=1) - states_hi.min(axis=1)
+    spread_lo = states_lo.max(axis=1) - states_lo.min(axis=1)
     # lambda2 governs the tail, not the early transient, so the claim is tested
     # as which graph first brings the spread within epsilon of consensus
     eps = 1e-3 * spread_of(y0)
@@ -297,8 +319,8 @@ def fig1(config: ExperimentConfig, targets: dict) -> Outcome:
     cells = {
         "lambda2_high": lam_hi, "lambda2_low": lam_lo,
         "times": [float(t) for t in times],
-        "spread_high": [float(s) for s in tr_hi.spread],
-        "spread_low": [float(s) for s in tr_lo.spread],
+        "spread_high": [float(s) for s in spread_hi],
+        "spread_low": [float(s) for s in spread_lo],
         "convergence_time_high": t_hi, "convergence_time_low": t_lo,
         "published_pair": [targets["lambda2_a"], targets["lambda2_b"]],
     }
@@ -306,10 +328,10 @@ def fig1(config: ExperimentConfig, targets: dict) -> Outcome:
         cells, comparisons=[_compare("fig1.lambda2_separated", lam_hi, lam_lo, "greater"),
                             _compare("fig1.converges_faster", t_hi, t_lo, "less")],
         tables={"fig1_spread.csv": (["t", "spread_high_lambda2", "spread_low_lambda2"],
-                                    list(zip(times, tr_hi.spread, tr_lo.spread)))},
+                                    list(zip(times, spread_hi, spread_lo)))},
         plots={"fig1_spread.svg": (
-            [{"x": list(times), "y": list(tr_hi.spread), "label": f"lambda2={lam_hi:.3f}", "kind": "line"},
-             {"x": list(times), "y": list(tr_lo.spread), "label": f"lambda2={lam_lo:.3f}", "kind": "line"}],
+            [{"x": list(times), "y": list(spread_hi), "label": f"lambda2={lam_hi:.3f}", "kind": "line"},
+             {"x": list(times), "y": list(spread_lo), "label": f"lambda2={lam_lo:.3f}", "kind": "line"}],
             "positional spread under diffusion", "t", "max(y)-min(y)")})
 
 
@@ -394,7 +416,7 @@ def fig4b(config: ExperimentConfig, targets: dict) -> Outcome:
 
 
 def fig4c(config: ExperimentConfig, targets: dict) -> Outcome:
-    n_each = config.params.get("n_each", targets["n_each"])
+    n_each = _int_param(config, "n_each", targets["n_each"], 2)
     k_lo, k_hi = targets["k_range"]
     ks = list(range(k_lo, k_hi + 1))
     # build every graph first, so a too-small n_each fails before any measuring
@@ -436,7 +458,7 @@ def fig4d(config: ExperimentConfig, targets: dict) -> Outcome:
 
 
 def fig5(config: ExperimentConfig, targets: dict) -> Outcome:
-    count = config.params.get("suite_size", targets["suite_size"])
+    count = _int_param(config, "suite_size", targets["suite_size"], 1)
     suite = relocation_suite(count=count, seed=child_seed(config.seed, 5))
     rows = []
     for i, g in enumerate(suite):

@@ -325,6 +325,11 @@ def _totals_with(dist: np.ndarray, pairs: list) -> np.ndarray:
     return np.minimum(dist, via, out=via).sum(axis=(1, 2))
 
 
+#: lambda2 values this close (relative) are one value: isomorphic placements
+#: differ only by eigensolver rounding, which must not decide the pick
+_LAMBDA2_TIE_RTOL = 1e-9
+
+
 def _pick_pair(h: Graph, dist_h: np.ndarray, pairs: list, best) -> tuple:
     """(pair, total) for the tie in `pairs` whose addition to h gives the `best`
     (min or max) total distance; dist_h is h's hop-distance matrix. Ties go to
@@ -337,7 +342,7 @@ def _pick_pair(h: Graph, dist_h: np.ndarray, pairs: list, best) -> tuple:
         lam = {pair: algebraic_connectivity(h.with_edges_added([pair]), LaplacianKind.BINARY)
                for pair in tied}
         top = (max if best is min else min)(lam.values())
-        tied = [pair for pair in tied if lam[pair] == top]
+        tied = [pair for pair in tied if abs(lam[pair] - top) <= _LAMBDA2_TIE_RTOL * abs(top)]
     return min(tied), total
 
 

@@ -183,13 +183,6 @@ def to_edge_list(g: Graph, label_map: dict = None) -> str:
 # metrics
 # ---------------------------------------------------------------------------
 
-def density(g: Graph) -> float:
-    """Existing-edge count over n(n-1)/2; unweighted."""
-    if g.n < 2:
-        raise DomainError("density needs at least 2 nodes")
-    return g.m / (g.n * (g.n - 1) / 2)
-
-
 def connected_components(g: Graph):
     """Returns (count, labels) with labels[v] = 0-based component id."""
     labels = [-1] * g.n
@@ -330,13 +323,13 @@ def vertex_connectivity(g: Graph) -> int:
     for t in range(g.n):
         if t != v and not g.has_edge(v, t):
             best = min(best, _local_node_connectivity(network, v, t, best))
-            if best == 0:
-                return 0
+            if best == 1:  # a connected graph has kappa >= 1
+                return 1
     for a, b in combinations(g.adj[v], 2):
         if not g.has_edge(a, b):
             best = min(best, _local_node_connectivity(network, a, b, best))
-            if best == 0:
-                return 0
+            if best == 1:
+                return 1
     return best
 
 

@@ -11,8 +11,10 @@ Lrw is similar to Lnor (Lrw = D^(-1/2) Lnor D^(1/2)), so its spectrum is
 computed through the symmetric form; the non-symmetric matrix never reaches
 the eigensolver. `symmetric_form` is the one route from a graph and a kind to
 an operator: it returns the symmetric matrix and the D^(1/2) scaling (ones
-for binary and sym_normalized) that every spectrum, Fiedler vector and
-diffusion solution in the package is built from.
+for binary and sym_normalized) that every spectrum, algebraic connectivity and
+diffusion solution in the package is built from; `laplacian` gives the
+operator itself as a matrix. `bound_report` sets lambda2 against the distance
+and connectivity bounds, and `spectrum_to_csv` writes a spectrum out.
 """
 
 import enum
@@ -49,10 +51,6 @@ class Spectrum:
     @property
     def lambda2(self) -> float:
         return float(self.eigenvalues[1])
-
-    def zero_multiplicity(self) -> int:
-        scale = max(float(self.eigenvalues[-1]), 1.0)
-        return int(np.sum(np.abs(self.eigenvalues) < ZERO_EIGENVALUE_RTOL * scale))
 
 
 def _adjacency_degrees(g: Graph, kind: LaplacianKind):
@@ -103,21 +101,11 @@ def spectrum(g: Graph, kind: LaplacianKind = LaplacianKind.BINARY) -> Spectrum:
 
 def algebraic_connectivity(g: Graph, kind: LaplacianKind = LaplacianKind.BINARY) -> float:
     """Second-smallest Laplacian eigenvalue; 0 for disconnected graphs."""
+    if g.n < 2:
+        raise DomainError(f"algebraic connectivity needs at least 2 nodes, got {g.n}")
     w = eigen.eigvalsh(symmetric_form(g, kind)[0])
     lam2 = float(w[1])
     return 0.0 if abs(lam2) < ZERO_EIGENVALUE_RTOL * max(float(w[-1]), 1.0) else lam2
-
-
-def fiedler_pair(g: Graph, kind: LaplacianKind = LaplacianKind.BINARY):
-    """(lambda2, fiedler vector) of the chosen Laplacian.
-
-    For the row-normalized operator the returned vector is the similarity
-    image v = D^(-1/2) u of the symmetric eigenvector u, i.e. an actual
-    eigenvector of the non-symmetric matrix.
-    """
-    s, d = symmetric_form(g, kind)
-    w, v = eigen.eigh(s)
-    return float(w[1]), v[:, 1] / d
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Shared independent oracles: these deliberately avoid the package's own
 algorithms (Floyd-Warshall vs BFS, subset/matrix-based cuts vs node-splitting
 flow, permutation enumeration vs DFS, Householder + implicit-shift QL vs
-LAPACK, per-replication round updates vs fixed round operators) so each check
-has two routes.
+LAPACK, per-replication round updates vs fixed round operators, Runge-Kutta
+steps vs the spectral diffusion solution) so each check has two routes.
 """
 
 from itertools import combinations, permutations
@@ -241,6 +241,40 @@ def ql_implicit(d: np.ndarray, e: np.ndarray, z: np.ndarray = None) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
+# diffusion oracle: classic 4th-order Runge-Kutta steps of dy/dt = -L y on the
+# Laplacian built here in numpy, never through its symmetric form
+# ---------------------------------------------------------------------------
+
+
+def diffuse_stepped(g: Graph, kind, y0, t_end: float, dt: float):
+    """(times, states): row k of states is y at times[k], from 0 to t_end in
+    steps of at most dt; kind is binary (D - A) or row_normalized (I - A/deg)."""
+    from cohesion_lab.spectra import LaplacianKind
+
+    a = np.zeros((g.n, g.n))
+    for u, v, w in g.edges:
+        a[u, v] = a[v, u] = w
+    deg = a.sum(axis=1)
+    lap = {LaplacianKind.BINARY: lambda: np.diag(deg) - a,
+           LaplacianKind.ROW_NORMALIZED: lambda: np.eye(g.n) - a / deg[:, None]}[kind]()
+    # RK4 is stable on the real axis for h * lambda_max < 2.78; stay well inside
+    assert dt * np.abs(np.linalg.eigvals(lap)).max() < 2.0, "step too large for RK4"
+    n_steps = max(1, int(np.ceil(t_end / dt - 1e-12)))
+    h = t_end / n_steps
+    m = -lap
+    y = np.asarray(y0, dtype=float)
+    states = [y]
+    for _ in range(n_steps):
+        k1 = m @ y
+        k2 = m @ (y + 0.5 * h * k1)
+        k3 = m @ (y + 0.5 * h * k2)
+        k4 = m @ (y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        states.append(y)
+    return np.linspace(0.0, t_end, n_steps + 1), np.array(states)
+
+
+# ---------------------------------------------------------------------------
 # round-protocol oracle: one replication at a time, each round applied to the
 # vector directly (pair means, or its own eigensolve of the round's Lnor)
 # ---------------------------------------------------------------------------
@@ -295,7 +329,7 @@ def memory_differences_oracle(reps: int, seed: int, cross_style: str, rule: str,
     diffs = np.empty(reps)
     for r in range(reps):
         y0 = rep_rng(seed, r).integers(0, 2, size=16).astype(float)
-        s1, s2 = (float(rounds_oracle(s.rounds, y0, rule, t_round)[1:].std(axis=1).mean())
+        s1, s2 = (float(rounds_oracle(s, y0, rule, t_round)[1:].std(axis=1).mean())
                   for s in (t1, t2))
         diffs[r] = s2 - s1
     return diffs

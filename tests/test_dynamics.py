@@ -6,12 +6,9 @@ import pytest
 
 from cohesion_lab.dynamics import (
     CROSS_MATCHINGS,
-    RoundSchedule,
-    Susceptibility,
+    _round_operator,
     convergence_time,
     diffuse_spectral,
-    diffuse_stepped,
-    four_cluster_graph,
     memory_experiment,
     memory_schedules,
     rep_rng,
@@ -21,8 +18,8 @@ from cohesion_lab.dynamics import (
 from cohesion_lab.errors import DomainError, ValidationError
 from cohesion_lab.generators import clique, clique_chain, cycle
 from cohesion_lab.graphs import Graph
-from cohesion_lab.spectra import LaplacianKind, algebraic_connectivity, laplacian
-from conftest import memory_differences_oracle, random_connected_graph, rounds_oracle
+from cohesion_lab.spectra import LaplacianKind, algebraic_connectivity
+from conftest import diffuse_stepped, memory_differences_oracle, random_connected_graph, rounds_oracle
 
 BIN = LaplacianKind.BINARY
 ROW = LaplacianKind.ROW_NORMALIZED
@@ -53,6 +50,10 @@ def counted_eigh(monkeypatch) -> list:
     return calls
 
 
+def spread(states: np.ndarray) -> np.ndarray:
+    return states.max(axis=1) - states.min(axis=1)
+
+
 def random_matching(rng, n) -> tuple:
     nodes = rng.permutation(n)
     k = int(rng.integers(1, n // 2 + 1))
@@ -63,53 +64,52 @@ class TestSpectralDiffusion:
     def test_two_node_closed_form(self):
         g = clique(2)
         times = np.linspace(0.0, 3.0, 13)
-        traj = diffuse_spectral(g, BIN, np.array([0.0, 1.0]), times)
+        states = diffuse_spectral(g, BIN, np.array([0.0, 1.0]), times)
         expected0 = 0.5 - 0.5 * np.exp(-2 * times)
         expected1 = 0.5 + 0.5 * np.exp(-2 * times)
-        assert np.abs(traj.states[:, 0] - expected0).max() < 1e-10
-        assert np.abs(traj.states[:, 1] - expected1).max() < 1e-10
+        assert np.abs(states[:, 0] - expected0).max() < 1e-10
+        assert np.abs(states[:, 1] - expected1).max() < 1e-10
 
     def test_t_zero_returns_y0(self, rng):
         g = random_connected_graph(rng, 9, 14)
         y0 = rng.standard_normal(9)
-        traj = diffuse_spectral(g, ROW, y0, np.array([0.0, 1.0]))
-        assert np.abs(traj.states[0] - y0).max() < 1e-10
+        states = diffuse_spectral(g, ROW, y0, np.array([0.0, 1.0]))
+        assert states.shape == (2, 9)
+        assert np.abs(states[0] - y0).max() < 1e-10
 
     def test_constant_vector_is_fixed_point(self, rng):
         g = random_connected_graph(rng, 8, 12)
         y0 = np.full(8, 3.7)
         for kind in (BIN, ROW):
-            traj = diffuse_spectral(g, kind, y0, np.linspace(0, 5, 7))
-            assert np.abs(traj.states - 3.7).max() < 1e-10
+            states = diffuse_spectral(g, kind, y0, np.linspace(0, 5, 7))
+            assert np.abs(states - 3.7).max() < 1e-10
 
     def test_binary_conserves_mean(self, rng):
         g = random_connected_graph(rng, 10, 17)
         y0 = rng.standard_normal(10)
-        traj = diffuse_spectral(g, BIN, y0, np.linspace(0, 8, 9))
-        assert np.abs(traj.states.mean(axis=1) - y0.mean()).max() < 1e-10
+        states = diffuse_spectral(g, BIN, y0, np.linspace(0, 8, 9))
+        assert np.abs(states.mean(axis=1) - y0.mean()).max() < 1e-10
 
     def test_rownorm_conserves_degree_weighted_mean(self, rng):
         g = random_connected_graph(rng, 10, 17)
         deg = np.array([g.degree(u) for u in range(10)], dtype=float)
         y0 = rng.standard_normal(10)
-        traj = diffuse_spectral(g, ROW, y0, np.linspace(0, 8, 9))
-        weighted = traj.states @ deg
+        weighted = diffuse_spectral(g, ROW, y0, np.linspace(0, 8, 9)) @ deg
         assert np.abs(weighted - deg @ y0).max() < 1e-10
 
     def test_spread_non_increasing(self, rng):
         for kind in (BIN, ROW):
             g = random_connected_graph(rng, 9, 13)
             y0 = rng.standard_normal(9)
-            traj = diffuse_spectral(g, kind, y0, np.linspace(0, 6, 40))
-            assert np.all(np.diff(traj.spread) <= 1e-10)
+            states = diffuse_spectral(g, kind, y0, np.linspace(0, 6, 40))
+            assert np.all(np.diff(spread(states)) <= 1e-10)
 
-    def test_disconnected_flagged_with_component_equilibria(self):
+    def test_disconnected_settles_to_component_equilibria(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         y0 = np.array([0.0, 1.0, 4.0, 8.0])
-        traj = diffuse_spectral(g, BIN, y0, np.array([0.0, 50.0]))
-        assert not traj.connected
-        assert traj.states[1, 0] == pytest.approx(0.5, abs=1e-8)
-        assert traj.states[1, 2] == pytest.approx(6.0, abs=1e-8)
+        states = diffuse_spectral(g, BIN, y0, np.array([0.0, 50.0]))
+        assert states[1, 0] == pytest.approx(0.5, abs=1e-8)
+        assert states[1, 2] == pytest.approx(6.0, abs=1e-8)
 
     @pytest.mark.parametrize("t", [-1.0, np.nan, np.inf])
     def test_negative_or_non_finite_times_rejected(self, t):
@@ -123,45 +123,8 @@ class TestSteppedDiffusion:
         for kind in (BIN, ROW):
             g = random_connected_graph(rng, 9, 14)
             y0 = rng.standard_normal(9)
-            s = Susceptibility.uniform(9)
-            stepped = diffuse_stepped(g, kind, s, y0, t_end=5.0, dt=0.01)
-            exact = diffuse_spectral(g, kind, y0, stepped.times)
-            assert np.abs(stepped.states - exact.states).max() < 1e-6
-
-    def test_stability_bound_enforced(self, rng):
-        g = random_connected_graph(rng, 8, 12)
-        s = Susceptibility.uniform(8)
-        with pytest.raises(DomainError, match="stability"):
-            diffuse_stepped(g, BIN, s, np.zeros(8), t_end=1.0, dt=10.0)
-
-    @pytest.mark.parametrize("t_end,dt", [(1.0, np.nan), (np.nan, 0.1), (np.inf, 0.1), (1.0, np.inf)])
-    def test_non_finite_t_end_or_dt_rejected(self, t_end, dt):
-        with pytest.raises(DomainError, match="finite"):
-            diffuse_stepped(cycle(5), BIN, Susceptibility.uniform(5), np.arange(5.0), t_end=t_end, dt=dt)
-
-    def test_stubborn_node_barely_moves(self, rng):
-        g = random_connected_graph(rng, 8, 14)
-        y0 = rng.standard_normal(8)
-        y0[0] = 2.0
-        vals = np.ones(8)
-        vals[0] = 1e-6
-        traj = diffuse_stepped(g, ROW, Susceptibility(vals), y0, t_end=40.0, dt=0.05)
-        final = traj.states[-1]
-        assert abs(final[0] - y0[0]) < 1e-3
-        # everyone else has been pulled toward the stubborn value
-        others0 = np.abs(y0[1:] - y0[0]).mean()
-        others1 = np.abs(final[1:] - final[0]).mean()
-        assert others1 < 0.1 * others0
-
-    def test_constant_y0_constant_trajectory(self, rng):
-        g = random_connected_graph(rng, 6, 9)
-        vals = rng.uniform(0.5, 2.0, size=6)
-        traj = diffuse_stepped(g, ROW, Susceptibility(vals), np.full(6, 1.5), t_end=3.0, dt=0.05)
-        assert np.abs(traj.states - 1.5).max() < 1e-12
-
-    def test_positive_susceptibility_required(self):
-        with pytest.raises(ValidationError):
-            Susceptibility(np.array([1.0, 0.0]))
+            times, stepped = diffuse_stepped(g, kind, y0, t_end=5.0, dt=0.01)
+            assert np.abs(stepped - diffuse_spectral(g, kind, y0, times)).max() < 1e-6
 
 
 class TestConvergenceTime:
@@ -200,8 +163,7 @@ class TestConvergenceTime:
         y0 = rng.standard_normal(9)
         t0 = convergence_time(g, BIN, y0, epsilon=1e-5)
         ts = np.linspace(t0, t0 + 4.0 / lam2, 30)
-        traj = diffuse_spectral(g, BIN, y0, ts)
-        slope = np.polyfit(ts, np.log(traj.spread), 1)[0]
+        slope = np.polyfit(ts, np.log(spread(diffuse_spectral(g, BIN, y0, ts))), 1)[0]
         assert -slope == pytest.approx(lam2, rel=0.05)
 
     def test_one_eigensolve_per_call(self, rng, monkeypatch):
@@ -215,8 +177,8 @@ class TestConvergenceTime:
         y0 = rng.standard_normal(8)
         eps = 1e-3
         t = convergence_time(g, BIN, y0, epsilon=eps, tol=1e-8)
-        before = diffuse_spectral(g, BIN, y0, np.array([t - 1e-6])).spread[0]
-        after = diffuse_spectral(g, BIN, y0, np.array([t + 1e-6])).spread[0]
+        before = spread(diffuse_spectral(g, BIN, y0, np.array([t - 1e-6])))[0]
+        after = spread(diffuse_spectral(g, BIN, y0, np.array([t + 1e-6])))[0]
         assert after < eps <= before + 1e-9
 
     @pytest.mark.parametrize("epsilon,tol", [(1e-3, 0.0), (1e-3, -1.0), (np.nan, 1e-6),
@@ -231,56 +193,53 @@ class TestConvergenceTime:
         y0 = rng.standard_normal(8)
         with finishes_within(5.0):
             t = convergence_time(g, BIN, y0, epsilon=1e-3, tol=1e-300)
-        before = diffuse_spectral(g, BIN, y0, np.array([np.nextafter(t, 0.0)])).spread[0]
-        after = diffuse_spectral(g, BIN, y0, np.array([t])).spread[0]
+        before = spread(diffuse_spectral(g, BIN, y0, np.array([np.nextafter(t, 0.0)])))[0]
+        after = spread(diffuse_spectral(g, BIN, y0, np.array([t])))[0]
         assert after < 1e-3 <= before
 
 
 class TestRounds:
     def test_single_pair_average(self):
-        sched = RoundSchedule(n=2, rounds=(((0, 1),),))
-        traj = run_rounds(sched, np.array([0.0, 1.0]))
-        assert np.allclose(traj.states[-1], [0.5, 0.5])
+        states = run_rounds((((0, 1),),), np.array([0.0, 1.0]))
+        assert states.shape == (2, 2)
+        assert np.allclose(states[-1], [0.5, 0.5])
 
     def test_round_robin_reaches_global_mean(self):
-        sched = RoundSchedule(n=4, rounds=(((0, 1), (2, 3)), ((0, 2), (1, 3))))
         y0 = np.array([1.0, 5.0, -3.0, 9.0])
-        traj = run_rounds(sched, y0)
-        assert np.allclose(traj.states[-1], y0.mean())
+        states = run_rounds((((0, 1), (2, 3)), ((0, 2), (1, 3))), y0)
+        assert np.allclose(states[-1], y0.mean())
 
     def test_unmatched_nodes_keep_values(self):
-        sched = RoundSchedule(n=4, rounds=(((0, 1),),))
+        rounds = (((0, 1),),)
         y0 = np.array([0.0, 1.0, 7.0, -2.0])
-        traj = run_rounds(sched, y0)
-        assert traj.states[-1, 2] == 7.0 and traj.states[-1, 3] == -2.0
-        traj_exp = run_rounds(sched, y0, rule="exponential", t_round=2.0)
-        assert traj_exp.states[-1, 2] == 7.0 and traj_exp.states[-1, 3] == -2.0
+        states = run_rounds(rounds, y0)
+        assert states[-1, 2] == 7.0 and states[-1, 3] == -2.0
+        states_exp = run_rounds(rounds, y0, rule="exponential", t_round=2.0)
+        assert states_exp[-1, 2] == 7.0 and states_exp[-1, 3] == -2.0
 
     def test_overlapping_pairs_rejected_for_averaging(self):
-        sched = RoundSchedule(n=3, rounds=(((0, 1), (1, 2)),))
+        rounds = (((0, 1), (1, 2)),)
         with pytest.raises(ValidationError, match="matching"):
-            run_rounds(sched, np.zeros(3))
+            run_rounds(rounds, np.zeros(3))
         # the exponential rule accepts arbitrary subgraphs
-        run_rounds(sched, np.array([1.0, 2.0, 3.0]), rule="exponential")
+        run_rounds(rounds, np.array([1.0, 2.0, 3.0]), rule="exponential")
 
     def test_pair_average_is_long_time_exponential_limit(self, rng):
-        sched = RoundSchedule(n=6, rounds=(((0, 3), (1, 4)), ((2, 5),)))
+        rounds = (((0, 3), (1, 4)), ((2, 5),))
         y0 = rng.standard_normal(6)
-        avg = run_rounds(sched, y0)
-        exp = run_rounds(sched, y0, rule="exponential", t_round=50.0)
-        assert np.abs(avg.states - exp.states).max() < 1e-8
+        avg = run_rounds(rounds, y0)
+        exp = run_rounds(rounds, y0, rule="exponential", t_round=50.0)
+        assert np.abs(avg - exp).max() < 1e-8
 
     def test_matches_oracle_on_random_matchings(self, rng):
         for _ in range(30):
             n = int(rng.integers(2, 13))
             rounds = tuple(random_matching(rng, n) for _ in range(int(rng.integers(1, 6))))
-            sched = RoundSchedule(n=n, rounds=rounds)
             y0 = rng.standard_normal(n)
-            avg = run_rounds(sched, y0).states
-            assert np.array_equal(avg, rounds_oracle(sched.rounds, y0, "pair_average"))
+            assert np.array_equal(run_rounds(rounds, y0), rounds_oracle(rounds, y0, "pair_average"))
             t_round = float(rng.uniform(0.1, 5.0))
-            exp = run_rounds(sched, y0, rule="exponential", t_round=t_round).states
-            assert np.allclose(exp, rounds_oracle(sched.rounds, y0, "exponential", t_round),
+            exp = run_rounds(rounds, y0, rule="exponential", t_round=t_round)
+            assert np.allclose(exp, rounds_oracle(rounds, y0, "exponential", t_round),
                                rtol=1e-12, atol=1e-12)
 
     def test_exponential_matches_oracle_on_overlapping_rounds(self, rng):
@@ -291,39 +250,62 @@ class TestRounds:
                 tuple(pairs[k] for k in rng.choice(len(pairs), size=int(rng.integers(1, len(pairs) + 1)),
                                                    replace=False))
                 for _ in range(int(rng.integers(1, 5))))
-            sched = RoundSchedule(n=n, rounds=rounds)
             y0 = rng.standard_normal(n)
             t_round = float(rng.uniform(0.1, 5.0))
-            exp = run_rounds(sched, y0, rule="exponential", t_round=t_round).states
-            assert np.allclose(exp, rounds_oracle(sched.rounds, y0, "exponential", t_round),
+            exp = run_rounds(rounds, y0, rule="exponential", t_round=t_round)
+            assert np.allclose(exp, rounds_oracle(rounds, y0, "exponential", t_round),
                                rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("t_round", [np.nan, np.inf, 0.0, -5.0])
     def test_t_round_validated(self, t_round):
-        sched = RoundSchedule(n=2, rounds=(((0, 1),),))
         with pytest.raises(DomainError, match="t_round"):
-            run_rounds(sched, np.array([0.0, 1.0]), rule="exponential", t_round=t_round)
+            run_rounds((((0, 1),),), np.array([0.0, 1.0]), rule="exponential", t_round=t_round)
 
     def test_unknown_rule_rejected(self):
-        sched = RoundSchedule(n=2, rounds=(((0, 1),),))
         with pytest.raises(ValidationError, match="rule"):
-            run_rounds(sched, np.array([0.0, 1.0]), rule="gossip")
+            run_rounds((((0, 1),),), np.array([0.0, 1.0]), rule="gossip")
 
-    def test_duplicate_pair_rejected(self):
-        with pytest.raises(ValidationError):
-            RoundSchedule(n=4, rounds=(((0, 1), (1, 0)),))
+    def test_empty_schedule_rejected(self):
+        with pytest.raises(ValidationError, match="at least one round"):
+            run_rounds((), np.zeros(4))
+
+    #: (round on 4 nodes, message); every rule rejects these
+    BAD_ROUNDS = [(((0, 1), (1, 0)), "duplicate pair"), (((2, 2),), "self-pair"),
+                  (((0, 4),), "out of range"), (((-1, 2),), "out of range"),
+                  (((0, 1.5),), "integer node"), (((0, 1, 2),), "not a pair"), ((3,), "not a pair")]
+
+    @pytest.mark.parametrize("rule", ["pair_average", "exponential"])
+    @pytest.mark.parametrize("pairs,message", BAD_ROUNDS,
+                             ids=["duplicate", "self", "above", "negative", "float", "triple", "bare"])
+    def test_bad_round_raises_validation_error(self, rule, pairs, message):
+        # a bad round is a ValidationError, never an IndexError from the operator
+        for call in (lambda: _round_operator(pairs, 4, rule, 1.0),
+                     lambda: run_rounds((((0, 1),), pairs), np.zeros(4), rule=rule)):
+            with pytest.raises(ValidationError, match=message) as exc:
+                call()
+            assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("pairs,message", [(((0, 1), (1, 0)), "duplicate pair"),
+                                               (((0, 4), (1, 5), (2, 4)), "matching"),
+                                               (((0, 16),), "out of range")])
+    def test_memory_experiment_checks_its_rounds(self, monkeypatch, pairs, message):
+        monkeypatch.setitem(CROSS_MATCHINGS, "bad", pairs)
+        with pytest.raises(ValidationError, match=message):
+            memory_experiment(reps=5, seed=0, cross_style="bad")
 
 
 class TestMemoryExperiment:
-    def test_schedules_are_perfect_matchings(self):
-        t1, t2 = memory_schedules()
-        for sched in (t1, t2):
-            for r, pairs in enumerate(sched.rounds):
+    @pytest.mark.parametrize("style", sorted(CROSS_MATCHINGS))
+    def test_schedules_are_perfect_matchings(self, style):
+        t1, t2 = memory_schedules(style)
+        for rounds in (t1, t2):
+            assert len(rounds) == 4
+            for pairs in rounds:
                 nodes = sorted(x for p in pairs for x in p)
                 assert nodes == list(range(16))
         # treatment 2 is treatment 1 with the cross round moved to the end
-        assert t1.rounds[0] == t2.rounds[-1]
-        assert t1.rounds[1:] == t2.rounds[:-1]
+        assert t1[0] == t2[-1] == CROSS_MATCHINGS[style]
+        assert t1[1:] == t2[:-1]
 
     def test_cross_matchings_span_clusters(self):
         for style, pairs in CROSS_MATCHINGS.items():
@@ -343,17 +325,11 @@ class TestMemoryExperiment:
         for u in range(16):
             assert partners[u] == {4 * (u // 4) + k for k in range(4)} - {u}
 
-    def test_union_graph_is_four_cliques_plus_cross_ties(self):
-        g = four_cluster_graph()
-        assert g.n == 16
-        within = {(u, v) for u, v, _ in g.edges if u // 4 == v // 4}
-        assert len(within) == 4 * 6
-
     def test_constant_memory_vector_contributes_zero(self):
         t1, t2 = memory_schedules()
         y0 = np.ones(16)
-        s1 = run_rounds(t1, y0).states[1:].std(axis=1).mean()
-        s2 = run_rounds(t2, y0).states[1:].std(axis=1).mean()
+        s1 = run_rounds(t1, y0)[1:].std(axis=1).mean()
+        s2 = run_rounds(t2, y0)[1:].std(axis=1).mean()
         assert s1 == 0.0 and s2 == 0.0
 
     def test_deterministic_given_seed(self):

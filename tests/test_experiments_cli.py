@@ -84,6 +84,15 @@ class TestCliSpectra:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "integers" in err
 
+    @pytest.mark.parametrize("source", ["clique:1", "empty.edges"])
+    def test_fewer_than_two_nodes_exits_3_with_one_line(self, tmp_path, capsys, source):
+        if source.endswith(".edges"):
+            source = tmp_path / source
+            source.write_text("")
+        assert main(["spectra", str(source), "--kind", "binary"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "at least 2 nodes" in err
+
     def test_no_bounds_flag_allows_disconnected(self, tmp_path, capsys):
         f = tmp_path / "two.edges"
         f.write_text("0 1\n2 3\n")
@@ -246,6 +255,29 @@ class TestCliExperiments:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(body))
         assert main(["appendix", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err
+
+    @pytest.mark.parametrize("argv,params,named", [
+        (["table1"], {"p_values": [0.0, 0.9]}, "p_values"),  # no published targets at 0.9
+        (["table1"], {"p_values": [0.0, 0.25]}, "p_values"),  # not p = 0.2's targets either
+        (["table1"], {"p_values": []}, "p_values"),
+        (["table1"], {"p_values": [0.0, 0.1, 0.1]}, "p_values"),  # one comparison id twice
+        (["figures", "fig1"], {"pool": 0}, "pool"),
+        (["figures", "fig1"], {"pool": 1}, "pool"),  # both graphs would be the same one
+        (["figures", "fig1"], {"n": "a"}, "fig1 n"),
+        (["figures", "fig1"], {"m": 91}, "fig1 m"),  # the complete graph on 14 nodes
+        (["figures", "fig1"], {"t_end": "x"}, "t_end"),
+        (["figures", "fig4c"], {"n_each": "x"}, "n_each"),
+        (["figures", "fig5"], {"suite_size": 0}, "suite_size"),  # "all" of no graphs
+        (["figures", "fig5"], {"suite_size": -3}, "suite_size"),
+    ], ids=["table1-off-grid", "table1-between-grid", "table1-empty", "table1-repeated", "fig1-pool-0",
+            "fig1-pool-1", "fig1-n", "fig1-m-complete", "fig1-t_end", "fig4c-n_each", "fig5-suite-0",
+            "fig5-suite-neg"])
+    def test_bad_experiment_params_exit_3_with_one_line(self, tmp_path, capsys, argv, params, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": argv[-1], "params": params}))
+        assert main(argv + ["--config", str(cfg), "--reps", "2"]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and named in err
 

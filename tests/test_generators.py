@@ -45,9 +45,8 @@ class TestStandardGraphs:
         assert g.n == 25 and g.m == 40
 
     def test_clique_density(self):
-        from cohesion_lab.graphs import density
-
-        assert density(clique(24)) == 1.0
+        g = clique(24)
+        assert g.m == 24 * 23 // 2 and g.is_complete()
 
     def test_invalid_parameters(self):
         with pytest.raises(DomainError):
@@ -260,10 +259,12 @@ class TestChords:
                 if (a, b) not in h.edge_set() and (a, b) != plan.removed]
         totals = {p: total(h.with_edges_added([p])) for p in free}
         assert plan.total_distance_awkward == max(totals.values())
-        # ties on the maximum go to the smallest lambda2, then the smallest pair
+        # ties on the maximum go to the smallest lambda2, then the smallest pair;
+        # lambda2 values equal up to eigensolver rounding count as one value
         tied = [p for p in free if totals[p] == plan.total_distance_awkward]
         lam = {p: algebraic_connectivity(h.with_edges_added([p]), BIN) for p in tied}
-        assert plan.awkward_added == min(p for p in tied if lam[p] == min(lam.values()))
+        low = min(lam.values())
+        assert plan.awkward_added == min(p for p in tied if np.isclose(lam[p], low, rtol=1e-9, atol=0))
         return plan, tied
 
     @pytest.mark.parametrize("seed", [7, 31])
@@ -280,6 +281,8 @@ class TestChords:
         plan, tied = self._check_plan_against_floyd_warshall(g)
         assert plan.removed == (8, 9)
         assert tied == [(1, 8), (1, 9), (7, 8), (7, 9)]
+        # the four placements are mirror images: the smallest pair wins whatever the rounding
+        assert plan.awkward_added == (1, 8)
 
     def test_suite_deterministic(self):
         a = relocation_suite(count=3, seed=42)

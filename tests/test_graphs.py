@@ -24,7 +24,6 @@ from cohesion_lab.graphs import (
     Graph,
     chordless_cycles,
     connected_components,
-    density,
     distance_summary,
     from_edge_list,
     hop_distances,
@@ -109,18 +108,6 @@ class TestGraphInvariants:
             expected = sorted({a + b - u for a, b in chosen if u in (a, b)})
             assert g.neighbors(u) == tuple(expected) and g.degree(u) == len(expected)
             assert all(g.has_edge(u, v) == (v in expected) for v in range(n))
-
-
-class TestDensity:
-    def test_complete_graph(self):
-        assert density(clique(4)) == 1.0
-
-    def test_cycle(self):
-        assert density(cycle(6)) == pytest.approx(0.4)
-
-    def test_too_small(self):
-        with pytest.raises(DomainError):
-            density(Graph.from_edges(1, []))
 
 
 class TestComponents:
