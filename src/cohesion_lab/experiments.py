@@ -29,7 +29,6 @@ from .generators import (
     cycle,
     random_poisson,
     random_skewed,
-    relocation_plan,
     relocation_suite,
     rewire,
     square_lattice,
@@ -461,8 +460,7 @@ def fig5(config: ExperimentConfig, targets: dict) -> Outcome:
     count = _int_param(config, "suite_size", targets["suite_size"], 1)
     suite = relocation_suite(count=count, seed=child_seed(config.seed, 5))
     rows = []
-    for i, g in enumerate(suite):
-        plan = relocation_plan(g)
+    for i, (g, plan) in enumerate(suite):
         cut = g.with_edges_removed([plan.removed])
         moved = [cut.with_edges_added([pair]) for pair in (plan.midway_added, plan.awkward_added)]
         rows.append((i, g.n, g.m, *(algebraic_connectivity(h, LaplacianKind.BINARY) for h in (g, *moved))))

@@ -1,6 +1,7 @@
 """Seeded parametric network families and the chord-relocation procedure."""
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -205,8 +206,10 @@ _CONNECT_ATTEMPTS = 1000
 _SKEW_EXPONENT = 2.5
 
 
-def _pairs_index(n: int):
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+#: room for every n the relocation suite draws (SUITE_N_RANGE holds seven)
+@lru_cache(maxsize=8)
+def _pairs_index(n: int) -> tuple:
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
 def random_poisson(n: int, dens: float, seed: int) -> Graph:
@@ -357,11 +360,21 @@ def relocation_plan(g: Graph, min_cycle_len: int = 6) -> RelocationPlan:
     pair maximizing total distance (ties: smaller lambda2, then smallest
     pair). The removed position itself is never re-used. Edge weights are
     read as given; every graph the suite samples has unit weights.
+
+    This finds the girth cycle and the binary spectrum of g and hands them to
+    _plan, the core that relocation_suite calls with the ones it screened.
     """
+    if not is_connected(g):
+        raise DomainError("relocation_plan needs a connected graph")
     girth = smallest_cycle(g)
     if girth is None:
         raise DomainError("relocation_plan needs a cycle to borrow a tie from")
-    spec = spectrum(g, LaplacianKind.BINARY)
+    return _plan(g, girth, spectrum(g, LaplacianKind.BINARY), min_cycle_len)
+
+
+def _plan(g: Graph, girth, spec, min_cycle_len: int) -> RelocationPlan:
+    """relocation_plan for a connected g whose girth cycle and binary
+    spectrum are already known."""
     v = spec.eigenvectors[:, 1]
     cyc = girth.nodes
     cyc_edges = sorted(
@@ -433,43 +446,53 @@ SUITE_LOSS_FACTOR = 0.5
 SUITE_MIN_LOSS = 1e-9
 
 
-def _qualifies(g: Graph) -> bool:
-    """Structural preconditions under which the relocation dichotomy is tested.
+def _qualifies(g: Graph):
+    """The relocation plan of g if g meets the structural preconditions under
+    which the relocation dichotomy is tested, else None.
 
     All checks are on the input side of each step (spectra of the original
     and tie-removed graph, first-order Fiedler spans, distance premises);
-    the lambda2 of the relocated outputs is never consulted.
+    the lambda2 of the relocated outputs is never consulted. The girth cycle
+    and spectrum screened here go straight into _plan, so each candidate's
+    girth and spectrum are computed once.
     """
     if not is_connected(g):
-        return False
+        return None
     girth = smallest_cycle(g)
     if girth is None or girth.length != 3:
-        return False
+        return None
     spec = spectrum(g, LaplacianKind.BINARY)
     lam = spec.eigenvalues
     if lam[2] - lam[1] < SUITE_MIN_GAP or lam[1] > SUITE_MAX_LAMBDA2:
-        return False
+        return None
     try:
-        plan = relocation_plan(g, min_cycle_len=SUITE_MIN_CYCLE)
+        plan = _plan(g, girth, spec, SUITE_MIN_CYCLE)
     except DomainError:
-        return False
+        return None
     if len(plan.cycle_nodes) < SUITE_MIN_CYCLE:
-        return False
+        return None
     if plan.fiedler_loss < SUITE_MIN_LOSS or plan.gap_after_removal < SUITE_MIN_GAP:
-        return False
+        return None
     if plan.total_distance_midway >= plan.total_distance_before:
-        return False
+        return None
     if plan.total_distance_awkward <= plan.total_distance_before:
-        return False
+        return None
     if plan.midway_gain_first_order < SUITE_GAIN_FACTOR * plan.fiedler_loss:
-        return False
+        return None
     if plan.awkward_gain_first_order > SUITE_LOSS_FACTOR * plan.fiedler_loss:
-        return False
-    return True
+        return None
+    return plan
 
 
 def relocation_suite(count: int = 50, seed: int = 20240901) -> list:
-    """Seeded sparse graphs meeting the relocation preconditions."""
+    """Seeded sparse graphs meeting the relocation preconditions.
+
+    Returns `count` (graph, plan) pairs. Each plan equals relocation_plan(graph):
+    every accepted graph has a chordless cycle of length >= SUITE_MIN_CYCLE
+    after the removal, so the default min_cycle_len picks the same cycle.
+    """
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise DomainError(f"relocation_suite needs an integer count >= 1, got {count!r}")
     rng = np.random.default_rng(seed)
     out = []
     attempts = 0
@@ -482,6 +505,7 @@ def relocation_suite(count: int = 50, seed: int = 20240901) -> list:
         pairs = _pairs_index(n)
         idx = rng.choice(len(pairs), size=m, replace=False)
         g = Graph.from_edges(n, [pairs[i] for i in idx])
-        if _qualifies(g):
-            out.append(g)
+        plan = _qualifies(g)
+        if plan is not None:
+            out.append((g, plan))
     return out

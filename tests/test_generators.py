@@ -230,7 +230,7 @@ class TestChords:
 
     def test_relocation_preserves_density_and_connectivity(self):
         suite = relocation_suite(count=4, seed=99)
-        for g in suite:
+        for g, _plan in suite:
             plan, *moved = self._moved(g)
             for out in moved:
                 assert out.m == g.m
@@ -239,7 +239,7 @@ class TestChords:
 
     def test_relocation_dichotomy_on_suite_sample(self):
         suite = relocation_suite(count=6, seed=123)
-        for g in suite:
+        for g, _plan in suite:
             lam0 = algebraic_connectivity(g, BIN)
             _plan, mid, awk = self._moved(g)
             assert algebraic_connectivity(mid, BIN) > lam0
@@ -269,7 +269,7 @@ class TestChords:
 
     @pytest.mark.parametrize("seed", [7, 31])
     def test_plan_distance_bookkeeping(self, seed):
-        for g in relocation_suite(count=4, seed=seed):
+        for g, _plan in relocation_suite(count=4, seed=seed):
             plan, _tied = self._check_plan_against_floyd_warshall(g)
             assert plan.total_distance_midway < plan.total_distance_before
             assert plan.total_distance_awkward > plan.total_distance_before
@@ -287,4 +287,33 @@ class TestChords:
     def test_suite_deterministic(self):
         a = relocation_suite(count=3, seed=42)
         b = relocation_suite(count=3, seed=42)
-        assert [g.edges for g in a] == [g.edges for g in b]
+        assert [g.edges for g, _plan in a] == [g.edges for g, _plan in b]
+
+    def test_relocate_needs_a_connected_graph(self):
+        # a triangle beside a 9-cycle: a girth cycle exists, but no plan can
+        with pytest.raises(DomainError, match="relocation_plan needs a connected graph"):
+            relocation_plan(Graph.from_edges(12, [(0, 1), (1, 2), (0, 2)]
+                                             + [(3 + i, 3 + (i + 1) % 9) for i in range(9)]))
+
+    @pytest.mark.parametrize("count", [0, -3, 2.5, True, "3", None])
+    def test_suite_rejects_a_bad_count(self, count):
+        with pytest.raises(DomainError, match="relocation_suite needs an integer count >= 1"):
+            relocation_suite(count=count)
+
+    @pytest.mark.parametrize("seed", [5, 42])
+    def test_suite_plans_are_the_plans_from_scratch(self, seed):
+        for g, plan in relocation_suite(count=4, seed=seed):
+            assert plan == relocation_plan(g)
+
+    def test_suite_screens_each_candidate_once(self, monkeypatch):
+        # the graphs are kept alive so that no two of them can share an id
+        seen = {"smallest_cycle": [], "spectrum": []}
+        for name, calls in seen.items():
+            def record(g, *args, _fn=getattr(generators, name), _calls=calls, **kwargs):
+                _calls.append(g)
+                return _fn(g, *args, **kwargs)
+            monkeypatch.setattr(generators, name, record)
+        relocation_suite(count=3, seed=11)
+        for name, graphs in seen.items():
+            assert graphs, name
+            assert len({id(g) for g in graphs}) == len(graphs), name
