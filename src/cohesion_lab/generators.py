@@ -45,10 +45,7 @@ def ring_lattice(n: int, k: int) -> Graph:
         raise DomainError("ring_lattice needs even k >= 2")
     if k >= n:
         raise DomainError("ring_lattice needs k < n")
-    edges = set()
-    for i in range(n):
-        for j in range(1, k // 2 + 1):
-            edges.add((min(i, (i + j) % n), max(i, (i + j) % n)))
+    edges = {tuple(sorted((i, (i + j) % n))) for i in range(n) for j in range(1, k // 2 + 1)}
     return Graph.from_edges(n, sorted(edges))
 
 
@@ -56,15 +53,8 @@ def square_lattice(side: int) -> Graph:
     """side x side grid with 2*side*(side-1) edges."""
     if side < 1:
         raise DomainError("square_lattice needs side >= 1")
-    def node(r, c):
-        return r * side + c
-    edges = []
-    for r in range(side):
-        for c in range(side):
-            if c + 1 < side:
-                edges.append((node(r, c), node(r, c + 1)))
-            if r + 1 < side:
-                edges.append((node(r, c), node(r + 1, c)))
+    edges = [(r * side + c, r * side + c + 1) for r in range(side) for c in range(side - 1)]
+    edges += [(r * side + c, (r + 1) * side + c) for r in range(side - 1) for c in range(side)]
     return Graph.from_edges(side * side, edges)
 
 
@@ -123,16 +113,6 @@ def clique_chain_groups(clusters: int = 6, clique_size: int = 6):
 # rewiring
 # ---------------------------------------------------------------------------
 
-def _group_of(groups):
-    if groups is None:
-        return None
-    gmap = {}
-    for gi, members in enumerate(groups):
-        for v in members:
-            gmap[int(v)] = gi
-    return gmap
-
-
 #: a relayed endpoint gets _LANDING_DRAWS * n draws for a landing node; when a
 #: free one exists, the budget runs out with probability below exp(-64)
 _LANDING_DRAWS = 64
@@ -158,7 +138,7 @@ def rewire(g: Graph, p: float, seed: int, groups=None) -> Graph:
     if not is_connected(g):
         raise DomainError("rewire expects a connected input graph")
     rng = np.random.default_rng(seed)
-    gmap = _group_of(groups)
+    gmap = None if groups is None else {int(v): gi for gi, members in enumerate(groups) for v in members}
     all_edges = [(u, v) for u, v, _ in g.edges]
     if gmap is None:
         eligible = list(all_edges)
@@ -212,26 +192,12 @@ def _pairs_index(n: int) -> tuple:
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
-def random_poisson(n: int, dens: float, seed: int) -> Graph:
-    """Uniform connected graph with exactly m = round(density * n(n-1)/2) edges."""
-    pairs = _pairs_index(n)
-    m = round(dens * len(pairs))
-    if m < n - 1:
-        raise DomainError(f"density {dens} cannot produce a connected graph on {n} nodes")
-    rng = np.random.default_rng(seed)
-    for _ in range(_CONNECT_ATTEMPTS):
-        idx = rng.choice(len(pairs), size=m, replace=False)
-        g = Graph.from_edges(n, [pairs[i] for i in idx])
-        if is_connected(g):
-            return g
-    raise ResourceBudgetError(f"no connected sample in {_CONNECT_ATTEMPTS} draws")
+def _connected_sample(n: int, dens: float, seed: int, skewed: bool) -> Graph:
+    """m = round(density * n(n-1)/2) distinct pairs, redrawn until connected.
 
-
-def random_skewed(n: int, dens: float, seed: int) -> Graph:
-    """Connected expected-degree graph with power-law weights and fixed edge count.
-
-    Node weights follow a Pareto law with exponent _SKEW_EXPONENT; m distinct
-    pairs are drawn with probability proportional to w_i * w_j.
+    Skewed draws give node i a Pareto weight w_i with exponent _SKEW_EXPONENT,
+    fresh on every draw, and pick pairs with probability proportional to
+    w_i * w_j; otherwise every pair is equally likely.
     """
     pairs = _pairs_index(n)
     m = round(dens * len(pairs))
@@ -239,15 +205,26 @@ def random_skewed(n: int, dens: float, seed: int) -> Graph:
         raise DomainError(f"density {dens} cannot produce a connected graph on {n} nodes")
     rng = np.random.default_rng(seed)
     for _ in range(_CONNECT_ATTEMPTS):
-        u = rng.random(n)
-        w = (1.0 - u) ** (-1.0 / (_SKEW_EXPONENT - 1.0))
-        pw = np.array([w[i] * w[j] for i, j in pairs])
-        pw /= pw.sum()
+        pw = None
+        if skewed:
+            w = (1.0 - rng.random(n)) ** (-1.0 / (_SKEW_EXPONENT - 1.0))
+            pw = np.array([w[i] * w[j] for i, j in pairs])
+            pw /= pw.sum()
         idx = rng.choice(len(pairs), size=m, replace=False, p=pw)
         g = Graph.from_edges(n, [pairs[i] for i in idx])
         if is_connected(g):
             return g
     raise ResourceBudgetError(f"no connected sample in {_CONNECT_ATTEMPTS} draws")
+
+
+def random_poisson(n: int, dens: float, seed: int) -> Graph:
+    """Uniform connected graph with exactly m = round(density * n(n-1)/2) edges."""
+    return _connected_sample(n, dens, seed, skewed=False)
+
+
+def random_skewed(n: int, dens: float, seed: int) -> Graph:
+    """Connected expected-degree graph with power-law weights and fixed edge count."""
+    return _connected_sample(n, dens, seed, skewed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +398,7 @@ def _plan(g: Graph, girth, spec, min_cycle_len: int) -> RelocationPlan:
         cycle_nodes=nodes,
         midway_added=midway_pick,
         awkward_added=worst_pick,
-        total_distance_before=int(hop_distances(g).sum()),
+        total_distance_before=int(_totals_with(dist_h, [removed])[0]),  # g is h plus removed
         total_distance_midway=best_total,
         total_distance_awkward=worst_total,
         fiedler_loss=float(loss),
@@ -493,6 +470,8 @@ def relocation_suite(count: int = 50, seed: int = 20240901) -> list:
     """
     if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         raise DomainError(f"relocation_suite needs an integer count >= 1, got {count!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise DomainError(f"relocation_suite needs an integer seed >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     out = []
     attempts = 0

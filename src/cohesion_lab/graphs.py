@@ -2,7 +2,11 @@
 
 Nodes are dense integer indices 0..n-1. Edge weights only matter to the
 Laplacian builders; every distance/connectivity/cycle metric below works on
-the unweighted hop structure.
+the unweighted hop structure. A node set is one Python int bit mask (bit v
+for node v), and `Graph.adj_masks` holds each node's neighbours that way:
+all-pairs distances advance every source's reach mask one hop per level,
+and vertex connectivity runs its augmenting-path searches on masks of the
+split network's in- and out-copies.
 """
 
 import math
@@ -69,9 +73,13 @@ class Graph:
         return tuple(tuple(sorted(a)) for a in out)
 
     @cached_property
-    def adj_sets(self) -> tuple:
-        """Per node, the frozenset of its neighbours, for O(1) membership tests."""
-        return tuple(frozenset(a) for a in self.adj)
+    def adj_masks(self) -> tuple:
+        """Per node, its neighbour set as one int bit mask (bit u set for neighbour u)."""
+        out = [0] * self.n
+        for u, v, _w in self.edges:
+            out[u] |= 1 << v
+            out[v] |= 1 << u
+        return tuple(out)
 
     def neighbors(self, u: int) -> tuple:
         return self.adj[u]
@@ -80,7 +88,7 @@ class Graph:
         return len(self.adj[u])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj_sets[u]
+        return v >= 0 and self.adj_masks[u] >> v & 1 == 1
 
     def edge_set(self) -> set:
         """Unweighted edge set as {(u, v): u < v}."""
@@ -207,98 +215,110 @@ def is_connected(g: Graph) -> bool:
     return connected_components(g)[0] == 1
 
 
+def _reach_levels(g: Graph):
+    """Yield, for d = 0, 1, ..., the masks of the nodes within d hops of each
+    node, up to the last level that grows. One level is reach[v] | reach[u]
+    over v's neighbours u (bit-parallel BFS; Akiba, Iwata & Yoshida, SIGMOD
+    2013)."""
+    adj = g.adj
+    reach = [1 << v for v in range(g.n)]
+    while True:
+        yield reach
+        grown = []
+        for v, a in enumerate(adj):
+            r = reach[v]
+            for u in a:
+                r |= reach[u]
+            grown.append(r)
+        if grown == reach:
+            return
+        reach = grown
+
+
 def hop_distances(g: Graph) -> np.ndarray:
     """All-pairs hop distances as an n x n integer matrix; -1 where unreachable.
-
-    One breadth-first search per source over the cached neighbour tuples;
-    edge weights are ignored.
-    """
-    adj = g.adj
-    out = np.empty((g.n, g.n), dtype=np.int64)
-    for s in range(g.n):
-        dist = [-1] * g.n
-        dist[s] = 0
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            reached = []
-            for u in frontier:
-                for v in adj[u]:
-                    if dist[v] < 0:
-                        dist[v] = d
-                        reached.append(v)
-            frontier = reached
-        out[s] = dist
+    Entry (v, u) is the level d of _reach_levels that adds u to v's mask."""
+    out = np.full((g.n, g.n), -1, dtype=np.int64)
+    width, prev = (g.n + 7) // 8, [0] * g.n
+    for d, reach in enumerate(_reach_levels(g)):
+        new = b"".join((r ^ p).to_bytes(width, "little") for r, p in zip(reach, prev))
+        bits = np.unpackbits(np.frombuffer(new, dtype=np.uint8).reshape(g.n, width),
+                             axis=1, count=g.n, bitorder="little")
+        out[bits.view(bool)] = d
+        prev = reach
     return out
 
 
 def distance_summary(g: Graph) -> DistanceSummary:
-    """Mean distance and diameter over all pairs (hop metric, weights ignored)."""
+    """Mean distance and diameter over all pairs (hop metric, weights ignored),
+    without an n x n matrix: the pairs at distance d are the growth of the
+    summed popcounts at level d of _reach_levels, the diameter its last level."""
     if g.n < 2:
         return DistanceSummary(mean_distance=0.0, diameter=0, finite=True)
-    dist = hop_distances(g)
-    if (dist < 0).any():
+    total = within = 0
+    for d, reach in enumerate(_reach_levels(g)):
+        now = sum(r.bit_count() for r in reach)
+        total += d * (now - within)
+        within = now
+    if within < g.n * g.n:
         return DistanceSummary(mean_distance=float("inf"), diameter=0, finite=False)
-    mean = int(dist.sum()) / (g.n * (g.n - 1))
-    return DistanceSummary(mean_distance=mean, diameter=int(dist.max()), finite=True)
+    return DistanceSummary(mean_distance=total / (g.n * (g.n - 1)), diameter=d, finite=True)
 
 
 # ---------------------------------------------------------------------------
 # vertex connectivity (node-splitting max-flow, Menger)
 # ---------------------------------------------------------------------------
 
-def _split_network(g: Graph):
-    """Even's node-split residual network as arc arrays, built once per graph.
+def _bits(mask: int):
+    while mask:  # set bits, lowest first
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    v_in = 2v and v_out = 2v+1. Every node gets a split arc v_in -> v_out of
-    capacity 1; each undirected edge (a, b) becomes a_out -> b_in and
-    b_out -> a_in of capacity n. Arc e's reverse is arc e ^ 1. Returns
-    (head, capacity, arcs leaving each network node).
+
+def _local_node_connectivity(g: Graph, s: int, t: int, cutoff: int) -> int:
+    """Max number of internally node-disjoint paths between non-adjacent s
+    and t, stopping at cutoff: unit augmenting paths from s_out to t_in in
+    Even's split network (node v is an arc v_in -> v_out of capacity 1, edge
+    (u, w) the arcs u_out -> w_in and w_out -> u_in of capacity n).
+
+    `used` masks the nodes whose split arc carries flow; bit w of fwd[u] (and
+    bit u of rev[w]) marks flow on u_out -> w_in. A breadth-first level moves
+    the in- and out-frontiers together; the path is walked back from t_in.
     """
-    head, cap = [], []
-    out = [[] for _ in range(2 * g.n)]
-    arcs = [(2 * v, 2 * v + 1, 1) for v in range(g.n)]
-    for a, b, _w in g.edges:
-        arcs += [(2 * a + 1, 2 * b, g.n), (2 * b + 1, 2 * a, g.n)]
-    for a, b, c in arcs:
-        out[a].append(len(head))
-        out[b].append(len(head) + 1)
-        head += [b, a]
-        cap += [c, 0]
-    return head, cap, out
-
-
-def _local_node_connectivity(network, s, t, cutoff):
-    """Max number of internally node-disjoint s-t paths, stopping at cutoff.
-
-    Unit BFS augmentation from s_out to t_in on a fresh copy of the
-    capacities. The split arcs of s and t stay in the network: no augmenting
-    path leaves s_out through s_in or reaches t_in through t_out.
-    """
-    head, base_cap, out = network
-    cap = list(base_cap)
-    source, sink = 2 * s + 1, 2 * t
+    nbr = g.adj_masks
+    used, fwd, rev = 0, [0] * g.n, [0] * g.n
     flow = 0
     while flow < cutoff:
-        via = [-1] * len(out)  # arc that first reached each network node
-        via[source] = len(head)  # marks the source reached; never followed back
-        q = deque([source])
-        while q and via[sink] < 0:
-            u = q.popleft()
-            for e in out[u]:
-                v = head[e]
-                if via[v] < 0 and cap[e] > 0:
-                    via[v] = e
-                    q.append(v)
-        if via[sink] < 0:
+        f_in, f_out = 0, 1 << s
+        seen_in, seen_out = 0, f_out
+        levels = []
+        while (f_in | f_out) and not f_in >> t & 1:
+            levels.append((f_in, f_out))
+            new_in, new_out = f_out & used, f_in & ~used
+            for u in _bits(f_out):
+                new_in |= nbr[u]
+            for w in _bits(f_in & used):
+                new_out |= rev[w]
+            f_in, f_out = new_in & ~seen_in, new_out & ~seen_out
+            seen_in, seen_out = seen_in | f_in, seen_out | f_out
+        if not f_in >> t & 1:
             break
-        v = sink
-        while v != source:
-            e = via[v]
-            cap[e] -= 1
-            cap[e ^ 1] += 1
-            v = head[e ^ 1]
+        was_used, v, on_in = used, t, True
+        for f_in, f_out in reversed(levels):
+            bit = 1 << v
+            if on_in:  # v_in came from v_out (split arc reversed) or from u_out
+                u = v if was_used & f_out & bit else next(_bits(f_out & nbr[v]))
+                a, b = u, v
+            else:  # v_out came from v_in (split arc) or from w_in (arc v_out -> w_in reversed)
+                u = v if f_in & bit & ~was_used else next(_bits(f_in & fwd[v]))
+                a, b = v, u
+            if u == v:
+                used ^= bit
+            else:  # one unit on a -> b, pushed forward or cancelled
+                fwd[a] ^= 1 << b
+                rev[b] ^= 1 << a
+            v, on_in = u, not on_in
         flow += 1
     return flow
 
@@ -309,7 +329,8 @@ def vertex_connectivity(g: Graph) -> int:
     Minimizes local node-splitting max-flow over the reduced candidate pair
     set of Esfahanian-Hakimi: every minimum cut either separates some
     non-neighbor pair anchored at a minimum-degree node v, or contains v and
-    then separates two non-adjacent neighbors of v.
+    then separates two non-adjacent neighbors of v. The local max-flows run
+    on neighbour masks (_local_node_connectivity) and stop at the best cut so far.
     """
     if g.n < 2:
         raise DomainError("vertex_connectivity needs at least 2 nodes")
@@ -317,17 +338,16 @@ def vertex_connectivity(g: Graph) -> int:
         return g.n - 1
     if not is_connected(g):
         return 0
-    network = _split_network(g)
     v = min(range(g.n), key=lambda u: (g.degree(u), u))
     best = g.degree(v)
     for t in range(g.n):
         if t != v and not g.has_edge(v, t):
-            best = min(best, _local_node_connectivity(network, v, t, best))
+            best = min(best, _local_node_connectivity(g, v, t, best))
             if best == 1:  # a connected graph has kappa >= 1
                 return 1
     for a, b in combinations(g.adj[v], 2):
         if not g.has_edge(a, b):
-            best = min(best, _local_node_connectivity(network, a, b, best))
+            best = min(best, _local_node_connectivity(g, a, b, best))
             if best == 1:
                 return 1
     return best
@@ -348,13 +368,13 @@ def _canonical_cycle(nodes):
 
 def smallest_cycle(g: Graph):
     """A girth cycle (ties: lexicographically smallest canonical sequence)."""
-    adj, adj_sets = g.adj, g.adj_sets
+    adj, nbr = g.adj, g.adj_masks
     # the first edge (in sorted order) with a common neighbour c closes the
     # smallest triangle: any earlier such edge would close a smaller one
     for u, v, _w in g.edges:
-        common = adj_sets[u] & adj_sets[v]
+        common = nbr[u] & nbr[v]
         if common:
-            return Cycle(nodes=(u, v, min(common)))
+            return Cycle(nodes=(u, v, next(_bits(common))))
     best = None
     for u, v, _w in g.edges:
         # shortest u-v path avoiding the edge itself closes a shortest cycle;
@@ -393,8 +413,7 @@ def chordless_cycles(g: Graph, min_len: int = 3):
         raise ResourceBudgetError(
             f"chordless-cycle search is bounded to n <= {CHORDLESS_SEARCH_MAX_NODES}, got n = {g.n}"
         )
-    adj = g.adj
-    nbr = [sum(1 << u for u in a) for a in adj]  # neighbour sets as bit masks
+    adj, nbr = g.adj, g.adj_masks
     steps = 0
     found = []
 

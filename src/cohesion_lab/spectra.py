@@ -121,6 +121,7 @@ class BoundReport:
     """
 
     lambda2: float
+    mean_distance: float
     eq5_bound: float
     diameter_bound: float
     kappa: int
@@ -157,6 +158,7 @@ def bound_report(g: Graph) -> BoundReport:
     }
     return BoundReport(
         lambda2=lam2,
+        mean_distance=ds.mean_distance,
         eq5_bound=eq5,
         diameter_bound=diam,
         kappa=kappa,

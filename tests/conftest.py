@@ -69,6 +69,25 @@ def brute_vertex_connectivity(g: Graph) -> int:
     return g.n - 1
 
 
+def brute_local_connectivity(g: Graph, s: int, t: int) -> int:
+    """Fewest nodes other than s and t whose removal separates non-adjacent
+    s and t (exhaustive; small n only). By Menger this is the number of
+    internally node-disjoint s-t paths."""
+    others = [u for u in range(g.n) if u not in (s, t)]
+    for k in range(len(others) + 1):
+        for removed in combinations(others, k):
+            seen = {s, *removed}
+            stack = [s]
+            while stack:
+                for v in g.neighbors(stack.pop()):
+                    if v not in seen:
+                        seen.add(v)
+                        stack.append(v)
+            if t not in seen:
+                return k
+    raise AssertionError("s and t are adjacent")
+
+
 def matrix_maxflow_vertex_connectivity(g: Graph) -> int:
     """Independent local-connectivity oracle: dense-matrix Ford-Fulkerson with
     DFS augmenting paths on the node-split digraph, minimized over all

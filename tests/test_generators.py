@@ -300,6 +300,11 @@ class TestChords:
         with pytest.raises(DomainError, match="relocation_suite needs an integer count >= 1"):
             relocation_suite(count=count)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "3", None])
+    def test_suite_rejects_a_bad_seed(self, seed):
+        with pytest.raises(DomainError, match="relocation_suite needs an integer seed >= 0"):
+            relocation_suite(count=1, seed=seed)
+
     @pytest.mark.parametrize("seed", [5, 42])
     def test_suite_plans_are_the_plans_from_scratch(self, seed):
         for g, plan in relocation_suite(count=4, seed=seed):

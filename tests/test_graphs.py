@@ -34,11 +34,19 @@ from cohesion_lab.graphs import (
 )
 from conftest import (
     brute_chordless_cycles,
+    brute_local_connectivity,
     brute_vertex_connectivity,
     floyd_warshall,
+    matrix_maxflow_vertex_connectivity,
     random_connected_graph,
     random_graph,
 )
+
+
+def disjoint_union(a: Graph, b: Graph, extra=()) -> Graph:
+    """a beside b, with b's nodes shifted by a.n, plus the `extra` edges."""
+    return Graph.from_edges(a.n + b.n, [(u, v) for u, v, _ in a.edges]
+                            + [(a.n + u, a.n + v) for u, v, _ in b.edges] + list(extra))
 
 
 class TestEdgeListIO:
@@ -107,7 +115,7 @@ class TestGraphInvariants:
         for u in range(n):
             expected = sorted({a + b - u for a, b in chosen if u in (a, b)})
             assert g.neighbors(u) == tuple(expected) and g.degree(u) == len(expected)
-            assert all(g.has_edge(u, v) == (v in expected) for v in range(n))
+            assert all(g.has_edge(u, v) is (v in expected) for v in range(-1, n + 65))
 
 
 class TestComponents:
@@ -161,6 +169,34 @@ class TestDistances:
                 iu = np.triu_indices(n, 1)
                 assert ds.mean_distance == d[iu].sum() * 2 / (n * (n - 1))
                 assert ds.diameter == int(d[iu].max())
+
+    def test_past_one_machine_word_matches_floyd_warshall(self, rng):
+        # the level masks of more than 64 nodes span several machine words
+        cases = [random_connected_graph(rng, n, 2 * n) for n in (65, 90, 130)]
+        cases += [random_graph(rng, 100, 150), disjoint_union(cycle(40), random_connected_graph(rng, 50, 120)),
+                  disjoint_union(clique(70), path(3))]
+        for g in cases:
+            d = floyd_warshall(g)
+            assert np.array_equal(hop_distances(g), np.where(np.isinf(d), -1, d))
+            ds = distance_summary(g)
+            if np.isinf(d).any():
+                assert not ds.finite and ds.mean_distance == float("inf")
+            else:
+                iu = np.triu_indices(g.n, 1)
+                assert ds.finite
+                assert ds.mean_distance == d[iu].sum() * 2 / (g.n * (g.n - 1))
+                assert ds.diameter == int(d[iu].max())
+
+    @pytest.mark.parametrize("side", [9, 12, 16])
+    def test_square_lattice_mean_distance_is_two_thirds_of_the_side(self, side):
+        ds = distance_summary(square_lattice(side))
+        assert ds.mean_distance == 2 * side / 3
+        assert ds.diameter == 2 * (side - 1) and ds.finite
+
+    def test_empty_and_single_node(self):
+        assert hop_distances(Graph.from_edges(0, [])).shape == (0, 0)
+        assert hop_distances(Graph.from_edges(1, [])).tolist() == [[0]]
+        assert distance_summary(Graph.from_edges(1, [])).finite
 
     def test_bounds_when_connected(self, rng):
         for _ in range(20):
@@ -226,6 +262,37 @@ class TestVertexConnectivity:
         for k in (1, 2, 3):
             g = two_cliques_bridged(6, k, seed=3)
             assert vertex_connectivity(g) == k == brute_vertex_connectivity(g)
+
+    def test_against_both_oracles_by_family(self, rng):
+        cases = []
+        for _ in range(8):
+            n1, n2 = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+            a = random_connected_graph(rng, n1, n1 - 1)
+            b = random_connected_graph(rng, n2, int(rng.integers(n2 - 1, n2 * (n2 - 1) // 2 + 1)))
+            cases.append(disjoint_union(a, b))  # disconnected
+            cases.append(disjoint_union(a, b, [(int(rng.integers(n1)), n1 + int(rng.integers(n2)))]))  # one bridge
+        cases += [clique(n) for n in range(2, 9)]
+        for _ in range(12):
+            n = int(rng.integers(5, 10))
+            full = n * (n - 1) // 2
+            cases.append(random_graph(rng, n, full - int(rng.integers(1, 4))))  # dense
+        for g in cases:
+            assert vertex_connectivity(g) == brute_vertex_connectivity(g) == matrix_maxflow_vertex_connectivity(g)
+
+    @pytest.mark.parametrize("k", [1, 7, 20])
+    def test_bridged_cliques_past_one_machine_word(self, k):
+        g = two_cliques_bridged(40, k, seed=5)
+        assert g.n == 80
+        assert vertex_connectivity(g) == k
+
+    def test_local_connectivity_honours_the_cutoff(self, rng):
+        for _ in range(25):
+            n = int(rng.integers(4, 10))
+            g = random_graph(rng, n, int(rng.integers(n - 1, n * (n - 1) // 2)))
+            s, t = next((a, b) for a in range(n) for b in range(a + 1, n) if not g.has_edge(a, b))
+            exact = brute_local_connectivity(g, s, t)
+            for cutoff in range(n):
+                assert graphs._local_node_connectivity(g, s, t, cutoff) == min(cutoff, exact)
 
 
 class TestCycles:
